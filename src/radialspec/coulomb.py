@@ -42,9 +42,6 @@ __all__ = [
     "coul_eigenfunction",
 ]
 
-_EULER = -float(sf.digamma(1.0).real)
-
-
 @dataclass(frozen=True)
 class CoulCoefficients:
     """Confluent-hypergeometric bookkeeping for one (m, energy, g) point."""
@@ -93,39 +90,54 @@ def coul_solution(
         raise ValidationError("C2_0 exists only for m = 0")
     if kind == "C4" and m == 0:
         raise ValidationError("C4 exists only for |m| >= 1")
-    par = coul_parameters(m, energy, g)
-    n = abs(m)
-    z = par.z(x)
-    pre = cmath.exp(-0.5 * z)
-    if kind == "C1":
-        return (kappa0 * x) ** (0.5 * (1 + n)) * pre * sf.kummer_m(par.alpha, par.beta, z, ctl)
-    if kind == "C3":
-        return (kappa0 * x) ** (0.5 * (1 + n)) * pre * sf.tricomi_u(par.alpha, par.beta, z, ctl)
-    if kind == "C4":
-        rest = (2.0 * par.K / kappa0) ** n / (math.factorial(n - 1) * math.factorial(n))
-        l0 = sf.degenerate_log_index(par.alpha, n)
-        if l0 is not None:
-            # alpha = l0 in [1, n]: (1-alpha)_n = 0 kills the log channel and
-            # leaves the residue of (1-alpha)_n sigma_alpha / 2 times Phi
-            lim = 0.5 * (-1.0) ** l0 * math.factorial(l0 - 1) * math.factorial(n - l0)
-            p = sf.frobenius_poly(par.alpha, n, z)
-            phi = sf.kummer_m(par.alpha, par.beta, z, ctl)
-            return pre * (
-                (kappa0 * x) ** (0.5 * (1 - n)) * p
-                - rest * lim * (kappa0 * x) ** (0.5 * (1 + n)) * phi
-            )
-        s1, s0, p = sf.kummer_log_companion(par.alpha, n, z, ctl)
-        pref = sf.pochhammer(1 - par.alpha, n) * rest
-        lg = math.log(kappa0 * x)
-        return pre * (
-            (kappa0 * x) ** (0.5 * (1 - n)) * p
-            - pref * (kappa0 * x) ** (0.5 * (1 + n)) * (lg * s1 + s0)
-        )
-    if kind == "C2_0":
-        dphi = sf.kummer_m_param_derivative(par.alpha, 1.0, z, 0.5, 1.0, ctl)
-        c1 = (kappa0 * x) ** 0.5 * pre * sf.kummer_m(par.alpha, 1.0, z, ctl)
-        return (kappa0 * x) ** 0.5 * pre * dphi + 0.5 * c1 * math.log(kappa0 * x)
-    raise ValidationError(f"unknown Coulomb solution kind {kind!r}")
+    return _coul_at(kind, coul_parameters(m, energy, g), kappa0, ctl)(x)
+
+
+def _coul_at(kind: str, par: CoulCoefficients, kappa0: float, ctl=sf.DEFAULT_CONTROL):
+    """x -> the named solution at the energy of `par`, whose constants are
+    built once by the caller."""
+    if kind in ("C4", "C2_0"):
+        pair = _coul_pair(par, kappa0, ctl)
+        return lambda x: pair(x)[1]
+    series = {"C1": sf.kummer_m, "C3": sf.tricomi_u}.get(kind)
+    if series is None:
+        raise ValidationError(f"unknown Coulomb solution kind {kind!r}")
+    power = 0.5 * par.beta
+
+    def solution(x: float) -> complex:
+        z = par.z(x)
+        return (kappa0 * x) ** power * cmath.exp(-0.5 * z) * series(par.alpha, par.beta, z, ctl)
+
+    return solution
+
+
+def _coul_pair(par: CoulCoefficients, kappa0: float, ctl=sf.DEFAULT_CONTROL):
+    """x -> (C1, C4) for |m| >= 1, or (C1, C2_0) for m = 0, from one series
+    pass per point: C4's log companion (or C2_0's parameter derivative)
+    carries C1's Phi along."""
+    n = par.beta - 1
+    alpha = par.alpha
+    if n == 0:
+
+        def pair0(x: float) -> tuple[complex, complex]:
+            z = par.z(x)
+            pre = (kappa0 * x) ** 0.5 * cmath.exp(-0.5 * z)
+            phi, dphi = sf.kummer_m_with_param_derivative(alpha, 1.0, z, 0.5, 1.0, ctl)
+            c1 = pre * phi
+            return c1, pre * dphi + 0.5 * c1 * math.log(kappa0 * x)
+
+        return pair0
+    rest = (2.0 * par.K / kappa0) ** n / (math.factorial(n - 1) * math.factorial(n))
+
+    def pair(x: float) -> tuple[complex, complex]:
+        z = par.z(x)
+        pre = cmath.exp(-0.5 * z)
+        phi, p, log_part = sf.kummer_log_channel(alpha, n, z, math.log(kappa0 * x), ctl)
+        high = (kappa0 * x) ** (0.5 * (1 + n))
+        c4 = pre * ((kappa0 * x) ** (0.5 * (1 - n)) * p - rest * high * log_part)
+        return high * pre * phi, c4
+
+    return pair
 
 
 # --- coefficient and family functions -----------------------------------------
@@ -195,7 +207,7 @@ def coul_critical_zeta(m: int, g: float, kappa0: float = 1.0) -> float:
     if m == 1:
         return math.atan((g / kappa0) * math.log(g / kappa0))
     if m == 0:
-        return math.atan(0.5 * math.log(g / kappa0) + _EULER)
+        return math.atan(0.5 * math.log(g / kappa0) + sf.EULER_GAMMA)
     raise ValidationError("critical zeta exists for m in {0, 1}")
 
 
@@ -203,60 +215,38 @@ def coul_critical_zeta(m: int, g: float, kappa0: float = 1.0) -> float:
 
 
 def _family_root(
-    m: int, g: float, kappa0: float, target: float, lo: float, hi: float
+    m: int, g: float, kappa0: float, target: float, lo: float, hi: float, expand: bool = False
 ) -> float:
+    """Root of the family function at `target` in [lo, hi]; with `expand`,
+    lo first doubles until the function changes sign there."""
+
     def h(E: float) -> float:
         return coul_family_function(m, E, g, kappa0).real - target
 
+    if expand:
+        for _ in range(300):
+            if h(lo) < 0:
+                break
+            lo *= 2.0
+        else:
+            raise ValidationError("failed to bracket the family level")
     return brentq(h, lo, hi, xtol=5e-16, rtol=8.9e-16, maxiter=200)
 
 
 def _family_root_ladder(m: int, g: float, kappa0: float, target: float, n: int) -> float:
     """n-th root for g < 0, bracketed in the pole ladder of the family function."""
-    n_m = abs(m)
-    scale = 2.0 if n_m == 1 else 1.0  # ladder -g^2/(scale(1+...)^2)
 
     def pole(k: int) -> float:
-        if n_m == 1:
+        if abs(m) == 1:
             return -g * g / (4.0 * (1 + k) ** 2)
         return -g * g / (1 + 2 * k) ** 2
 
     hi = pole(n)
     hi -= 1e-6 * abs(hi)
-    if n >= 1:
-        lo = pole(n - 1)
-        lo += 1e-6 * abs(lo)
-    else:
-        lo = 2.0 * pole(0)
-        span = abs(pole(0))
-
-        def h(E: float) -> float:
-            return coul_family_function(m, E, g, kappa0).real - target
-
-        for _ in range(300):
-            if h(lo) < 0:
-                break
-            span *= 2.0
-            lo -= span
-        else:
-            raise ValidationError("failed to bracket the lowest family level")
-    return _family_root(m, g, kappa0, target, lo, hi)
-
-
-def _family_root_single(m: int, g: float, kappa0: float, target: float) -> float:
-    """The single negative root for g >= 0 (family function is pole-free)."""
-    hi = -1e-12
-    lo = -1e4 * max(abs(g), kappa0) ** 2
-
-    def h(E: float) -> float:
-        return coul_family_function(m, E, g, kappa0).real - target
-
-    for _ in range(300):
-        if h(lo) < 0:
-            break
-        lo *= 2.0
-    else:
-        raise ValidationError("failed to bracket the family level")
+    if n == 0:  # no finite left pole
+        return _family_root(m, g, kappa0, target, 2.0 * pole(0), hi, expand=True)
+    lo = pole(n - 1)
+    lo += 1e-6 * abs(lo)
     return _family_root(m, g, kappa0, target, lo, hi)
 
 
@@ -343,70 +333,67 @@ def _density_m0(g: float, kappa0: float, zeta: float, half_pi: bool):
     return density
 
 
-def _m1_atoms(g: float, kappa0: float, zeta: float, half_pi: bool, levels: int):
-    if half_pi:
+def _coul_levels(spec: ProblemSpec, cell: RegimeClass):
+    """(number of atoms, None for an infinite ladder; k -> the k-th atom
+    (E_k, Q_k^2)).  Every atom is computed on its own: each ladder level has
+    its own bracket, so one level costs one root solve."""
+    g, k0 = spec.coupling, spec.kappa0
+    if cell is RegimeClass.COUL_UNIQUE:
         if g >= 0:
-            return ()
-        return tuple(
-            (
+            return 0, None
+        n = abs(spec.m)
+
+        def atom(k: int) -> tuple[float, float]:
+            tau = abs(g) / (1 + n + 2 * k)
+            # residue of the resolvent diagonal: Q^2 = 8 tau^3 D_m / |g|
+            q2 = (
+                (2.0 * tau / k0) ** n * 4.0 * tau * tau * sf.pochhammer(1.0 + k, n).real
+                / ((1 + n + 2 * k) * k0 * math.factorial(n) ** 2)
+            )
+            return -g * g / (1 + n + 2 * k) ** 2, q2
+
+        return None, atom
+    m1 = cell is RegimeClass.COUL_M1_FAMILY
+    if spec.extension.is_half_pi:
+        if g >= 0:
+            return 0, None
+        if m1:
+            return None, lambda n: (
                 -g * g / (4.0 * (1 + n) ** 2),
-                4.0 * (abs(g) / (2.0 * (1 + n))) ** 3 / kappa0**2,
+                4.0 * (abs(g) / (2.0 * (1 + n))) ** 3 / k0**2,
             )
-            for n in range(levels)
+        return None, lambda n: (
+            -g * g / (1 + 2 * n) ** 2,
+            4.0 * (g / (1 + 2 * n)) ** 2 / (k0 * (1 + 2 * n)),
         )
-    t = math.tan(zeta)
-    cos2 = math.cos(zeta) ** 2
-    if g < 0:
-        atoms = []
-        for n in range(levels):
-            e = _family_root_ladder(1, g, kappa0, t, n)
-            atoms.append((e, 1.0 / (kappa0 * cos2 * _f1_prime(e, g, kappa0))))
-        return tuple(atoms)
-    if g == 0.0:
-        if zeta >= 0:
-            return ()
-        e = -(kappa0 * t) ** 2
-        return ((e, 1.0 / (kappa0 * cos2 * _f1_prime(e, g, kappa0))),)
-    t1 = (g / kappa0) * math.log(g / kappa0)
-    if abs(t - t1) <= 1e-12 * max(1.0, abs(t1)):
-        return ((0.0, 3.0 * g * g / (kappa0 * cos2)),)
-    if t > t1:
-        return ()
-    e = _family_root_single(1, g, kappa0, t)
-    return ((e, 1.0 / (kappa0 * cos2 * _f1_prime(e, g, kappa0))),)
+    t = math.tan(spec.zeta)
+    cos2 = math.cos(spec.zeta) ** 2
+    # levels solve f_1(E) = tan(zeta), respectively f_0(E) = -tan(zeta)
+    m, target = (1, t) if m1 else (0, -t)
 
+    def weighted(e: float) -> tuple[float, float]:
+        if m1:
+            return e, 1.0 / (k0 * cos2 * _f1_prime(e, g, k0))
+        return e, 2.0 / (k0 * cos2 * _f0_prime(e, g, k0))
 
-def _m0_atoms(g: float, kappa0: float, zeta: float, half_pi: bool, levels: int):
-    if half_pi:
-        if g >= 0:
-            return ()
-        return tuple(
-            (
-                -g * g / (1 + 2 * n) ** 2,
-                4.0 * (g / (1 + 2 * n)) ** 2 / (kappa0 * (1 + 2 * n)),
-            )
-            for n in range(levels)
-        )
-    t = math.tan(zeta)
-    cos2 = math.cos(zeta) ** 2
     if g < 0:
-        atoms = []
-        for n in range(levels):
-            e = _family_root_ladder(0, g, kappa0, -t, n)
-            atoms.append((e, 2.0 / (kappa0 * cos2 * _f0_prime(e, g, kappa0))))
-        return tuple(atoms)
+        return None, lambda n: weighted(_family_root_ladder(m, g, k0, target, n))
+    if g == 0.0 and m1:
+        return (0, None) if spec.zeta >= 0 else (1, lambda n: weighted(-(k0 * t) ** 2))
     if g == 0.0:
-        e = -0.25 * kappa0**2 * math.exp(
+        e = -0.25 * k0**2 * math.exp(
             4.0 * sf.digamma(1.0).real - 2.0 * sf.digamma(0.5).real + 4.0 * t
         )
-        return ((e, 8.0 * abs(e) / (kappa0 * cos2)),)
-    t0 = 0.5 * math.log(g / kappa0) + _EULER
-    if abs(t - t0) <= 1e-12 * max(1.0, abs(t0)):
-        return ((0.0, 24.0 * g * g / (kappa0 * cos2)),)
-    if t < t0:
-        return ()
-    e = _family_root_single(0, g, kappa0, -t)
-    return ((e, 2.0 / (kappa0 * cos2 * _f0_prime(e, g, kappa0))),)
+        return 1, lambda n: (e, 8.0 * abs(e) / (k0 * cos2))
+    # g > 0: a zero-energy atom at the critical angle, one negative atom on one side
+    t_c = (g / k0) * math.log(g / k0) if m1 else 0.5 * math.log(g / k0) + sf.EULER_GAMMA
+    if abs(t - t_c) <= 1e-12 * max(1.0, abs(t_c)):
+        return 1, lambda n: (0.0, (3.0 if m1 else 24.0) * g * g / (k0 * cos2))
+    if (t > t_c) == m1:
+        return 0, None
+    # the single negative root: the family function is pole-free for g > 0
+    lo = -1e4 * max(abs(g), k0) ** 2
+    return 1, lambda n: weighted(_family_root(m, g, k0, target, lo, -1e-12, expand=True))
 
 
 def coul_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
@@ -416,30 +403,15 @@ def coul_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
         raise ValidationError("coul_spectrum needs a Coulomb spec")
     cell = classify(spec)
     g, k0 = spec.coupling, spec.kappa0
+    count, atom = _coul_levels(spec, cell)
+    # tuple() of a list, not of a generator: the generator form leaves tuples
+    # of its intermediate sizes in CPython's free lists and raises peak memory
+    atoms = tuple([atom(k) for k in range(levels if count is None else count)])
     if cell is RegimeClass.COUL_UNIQUE:
-        n = abs(spec.m)
-        atoms = []
-        if g < 0:
-            for k in range(levels):
-                tau = abs(g) / (1 + n + 2 * k)
-                # residue of the resolvent diagonal: Q^2 = 8 tau^3 D_m / |g|
-                q2 = (
-                    (2.0 * tau / k0) ** n
-                    * 4.0
-                    * tau
-                    * tau
-                    * sf.pochhammer(1.0 + k, n).real
-                    / ((1 + n + 2 * k) * k0 * math.factorial(n) ** 2)
-                )
-                atoms.append((-g * g / (1 + n + 2 * k) ** 2, q2))
-        return SpectralMeasure(tuple(atoms), _density_unique(spec.m, g, k0), "R+")
+        return SpectralMeasure(atoms, _density_unique(spec.m, g, k0), "R+")
     half_pi = spec.extension.is_half_pi
-    zeta = spec.zeta
-    if cell is RegimeClass.COUL_M1_FAMILY:
-        atoms = _m1_atoms(g, k0, zeta, half_pi, levels)
-        return SpectralMeasure(atoms, _density_m1(g, k0, zeta, half_pi), "R+")
-    atoms = _m0_atoms(g, k0, zeta, half_pi, levels)
-    return SpectralMeasure(atoms, _density_m0(g, k0, zeta, half_pi), "R+")
+    density = _density_m1 if cell is RegimeClass.COUL_M1_FAMILY else _density_m0
+    return SpectralMeasure(atoms, density(g, k0, spec.zeta, half_pi), "R+")
 
 
 def coul_density(spec: ProblemSpec, E: float) -> float:
@@ -448,30 +420,6 @@ def coul_density(spec: ProblemSpec, E: float) -> float:
 
 
 # --- Green function and resolvent diagonal ------------------------------------
-
-
-def _u_zeta_m1(x, energy, g, k0, zeta):
-    c1 = coul_solution("C1", 1, x, energy, g, k0)
-    c4 = coul_solution("C4", 1, x, energy, g, k0)
-    return c1 * math.sin(zeta) + c4 * math.cos(zeta)
-
-
-def _u_zeta_m1_tilde(x, energy, g, k0, zeta):
-    c1 = coul_solution("C1", 1, x, energy, g, k0)
-    c4 = coul_solution("C4", 1, x, energy, g, k0)
-    return c1 * math.cos(zeta) - c4 * math.sin(zeta)
-
-
-def _u_zeta_m0(x, energy, g, k0, zeta):
-    c1 = coul_solution("C1", 0, x, energy, g, k0)
-    c2 = coul_solution("C2_0", 0, x, energy, g, k0)
-    return c1 * math.sin(zeta) + c2 * math.cos(zeta)
-
-
-def _u_zeta_m0_tilde(x, energy, g, k0, zeta):
-    c1 = coul_solution("C1", 0, x, energy, g, k0)
-    c2 = coul_solution("C2_0", 0, x, energy, g, k0)
-    return c1 * math.cos(zeta) - c2 * math.sin(zeta)
 
 
 def _omega_unique(
@@ -524,83 +472,81 @@ def coul_green(
             * coul_solution("C1", spec.m, lo, e, g, k0)
             / omega
         )
-    zeta = spec.zeta
     om = coul_spectral_omega(spec, e)
+    pair = _coul_pair(coul_parameters(spec.m, e, g), k0)
+    c, s = math.cos(spec.zeta), math.sin(spec.zeta)
+    # u_zeta = sin C1 + cos C and u~_zeta = cos C1 - sin C, C = C4 or C2_0
+    (h1, h2), (l1, l2) = pair(hi), pair(lo)
+    u_hi, u_lo = h1 * s + h2 * c, l1 * s + l2 * c
+    cross = (h1 * c - h2 * s) * u_lo
     if cell is RegimeClass.COUL_M1_FAMILY:
-        uv = _u_zeta_m1(x, e, g, k0, zeta) * _u_zeta_m1(y, e, g, k0, zeta)
-        cross = _u_zeta_m1_tilde(hi, e, g, k0, zeta) * _u_zeta_m1(lo, e, g, k0, zeta)
         # om is -Omega_{1,zeta}/kappa0 already
-        return om * uv - (1.0 / k0) * cross
-    uv = _u_zeta_m0(x, e, g, k0, zeta) * _u_zeta_m0(y, e, g, k0, zeta)
-    cross = _u_zeta_m0_tilde(hi, e, g, k0, zeta) * _u_zeta_m0(lo, e, g, k0, zeta)
-    return om * uv + (2.0 / k0) * cross
+        return om * (u_hi * u_lo) - (1.0 / k0) * cross
+    return om * (u_hi * u_lo) + (2.0 / k0) * cross
 
 
 # --- eigenfunctions -------------------------------------------------------------
 
 
-def _family_wave(spec: ProblemSpec, energy: float, amp: float, bound: bool):
-    cell = classify(spec)
-    g, k0 = spec.coupling, spec.kappa0
-    zeta = spec.zeta
-    if spec.extension.is_half_pi:
-        ev = lambda x: (amp * coul_solution("C1", spec.m, x, energy, g, k0)).real
-        tag = f"x^({1 + abs(spec.m)}/2)"
-        return ev, tag
-    if cell is RegimeClass.COUL_M1_FAMILY:
-        direct = lambda x: _u_zeta_m1(x, energy, g, k0, zeta)
-        tag = "x sin z + cos z (1 + g x ln(k0 x) + ...)"
-    else:
-        direct = lambda x: _u_zeta_m0(x, energy, g, k0, zeta)
-        tag = "x^(1/2)*(sin z + (cos z / 2) ln(k0 x))"
+def _family_wave(spec: ProblemSpec, par: CoulCoefficients, amp: float, bound: bool):
+    """Family wave for |zeta| < pi/2.
+
+    For a bound state, beyond x_switch the sin/cos combination of the two
+    regular solutions cancels catastrophically, so continue with the
+    decaying solution C3 scaled to match at the switch point."""
+    pair = _coul_pair(par, spec.kappa0)
+    c, s = math.cos(spec.zeta), math.sin(spec.zeta)
+
+    def direct(x: float) -> complex:
+        c1, c2 = pair(x)
+        return c1 * s + c2 * c
+
     if not bound:
-        return (lambda x: (amp * direct(x)).real), tag
-    # Bound states: beyond x_switch the sin/cos combination of the two
-    # regular solutions cancels catastrophically, so continue with the
-    # decaying solution scaled to match at the switch point.
-    tau = math.sqrt(-energy)
-    x_switch = 4.0 / tau
-    ratio = direct(x_switch) / coul_solution("C3", spec.m, x_switch, energy, g, k0)
+        return lambda x: (amp * direct(x)).real
+    x_switch = 4.0 / par.K.real  # K = sqrt(-E) > 0 at a bound energy
+    c3 = _coul_at("C3", par, spec.kappa0)
+    ratio = direct(x_switch) / c3(x_switch)
 
     def ev(x: float) -> float:
         if x < x_switch:
             return (amp * direct(x)).real
-        return (amp * ratio * coul_solution("C3", spec.m, x, energy, g, k0)).real
+        return (amp * ratio * c3(x)).real
 
-    return ev, tag
+    return ev
 
 
 def coul_eigenfunction(spec: ProblemSpec, index_or_energy: int | float) -> RadialWave:
     """Normalized eigenfunction (int index -> discrete level, float -> energy)."""
     cell = classify(spec)
-    g, k0 = spec.coupling, spec.kappa0
     discrete = isinstance(index_or_energy, int) and not isinstance(index_or_energy, bool)
     if discrete:
         idx = index_or_energy
         if idx < 0:
             raise ValidationError("level index must be >= 0")
-        measure = coul_spectrum(spec, levels=idx + 1)
-        if idx >= len(measure.discrete):
+        count, atom = _coul_levels(spec, cell)
+        if count is not None and idx >= count:
             raise ValidationError(f"cell has no discrete level with index {idx}")
-        energy, weight = measure.discrete[idx]
+        energy, weight = atom(idx)
         if energy == 0.0:
             raise ValidationError(
                 "the zero-energy atom has no closed-form eigenfunction here"
             )
-        q = math.sqrt(weight)
-        if cell is RegimeClass.COUL_UNIQUE:
-            ev = lambda x: (q * coul_solution("C1", spec.m, x, energy, g, k0)).real
-            return RadialWave(ev, q, f"x^({1 + abs(spec.m)}/2)", energy)
-        ev, tag = _family_wave(spec, energy, q, bound=True)
-        return RadialWave(ev, q, tag, energy)
-    energy = float(index_or_energy)
-    measure = coul_spectrum(spec, levels=0)
-    dens = measure.density_at(energy)
-    if dens <= 0:
-        raise ValidationError(f"E={energy} is not in the continuous spectrum")
-    rho = math.sqrt(dens)
-    if cell is RegimeClass.COUL_UNIQUE:
-        ev = lambda x: (rho * coul_solution("C1", spec.m, x, energy, g, k0)).real
-        return RadialWave(ev, rho, f"x^({1 + abs(spec.m)}/2)", energy)
-    ev, tag = _family_wave(spec, energy, rho, bound=False)
-    return RadialWave(ev, rho, tag, energy)
+        amp = math.sqrt(weight)
+    else:
+        energy = float(index_or_energy)
+        dens = coul_spectrum(spec, levels=0).density_at(energy)
+        if dens <= 0:
+            raise ValidationError(f"E={energy} is not in the continuous spectrum")
+        amp = math.sqrt(dens)
+    par = coul_parameters(spec.m, energy, spec.coupling)
+    if cell is RegimeClass.COUL_UNIQUE or spec.extension.is_half_pi:
+        c1 = _coul_at("C1", par, spec.kappa0)
+        ev = lambda x: (amp * c1(x)).real
+        tag = f"x^({1 + abs(spec.m)}/2)"
+    elif cell is RegimeClass.COUL_M1_FAMILY:
+        ev = _family_wave(spec, par, amp, bound=discrete)
+        tag = "x sin z + cos z (1 + g x ln(k0 x) + ...)"
+    else:
+        ev = _family_wave(spec, par, amp, bound=discrete)
+        tag = "x^(1/2)*(sin z + (cos z / 2) ln(k0 x))"
+    return RadialWave(ev, amp, tag, energy)

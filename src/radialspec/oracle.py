@@ -197,7 +197,6 @@ def shoot_eigenvalue(
     vpot = _potential(spec)
     psi_as = _psi_as(spec)
     if u_max is None:
-        scale = abs(hi) if abs(hi) > abs(lo) * 1e-3 else abs(lo)
         if spec.theory is Theory.OSCILLATOR:
             u_max = max(6.0, 3.0 * (abs(hi) / max(spec.coupling, 1e-12)) ** 0.5)
         else:

@@ -41,9 +41,6 @@ __all__ = [
     "osc_eigenfunction",
 ]
 
-_EULER = -float(sf.digamma(1.0).real)  # Euler-Mascheroni gamma
-
-
 @dataclass(frozen=True)
 class OscCoefficients:
     """Confluent-hypergeometric bookkeeping for one (m, W, lambda) point."""
@@ -77,10 +74,6 @@ def osc_parameters(m: int, W: complex, lam: complex) -> OscCoefficients:
     return OscCoefficients(vk, w, alpha, alpha - n, 1 + n)
 
 
-def _energy(W) -> ComplexEnergy:
-    return as_energy(W)
-
-
 # --- solutions ---------------------------------------------------------------
 
 
@@ -104,44 +97,66 @@ def osc_solution(
         raise ValidationError("O2_0 exists only for m = 0")
     if kind == "O4" and m == 0:
         raise ValidationError("O4 exists only for |m| >= 1")
-    Wv = _energy(W).value
-    if lam == 0:
-        return _osc_solution_free(kind, m, u, _energy(W), kappa0, ctl)
-    par = osc_parameters(m, Wv, lam)
-    n = abs(m)
-    rho = par.rho(u)
-    pre = cmath.exp(-0.5 * rho)
-    if kind == "O1":
-        return (kappa0 * u) ** (0.5 + n) * pre * sf.kummer_m(par.alpha, par.beta, rho, ctl)
-    if kind == "O3":
-        return (kappa0 * u) ** (0.5 + n) * pre * sf.tricomi_u(par.alpha, par.beta, rho, ctl)
-    if kind == "O4":
-        rest = (par.varkappa / kappa0) ** (2 * n) / (
-            math.factorial(n - 1) * math.factorial(n)
-        )
-        l0 = sf.degenerate_log_index(par.alpha, n)
-        if l0 is not None:
-            # alpha = l0 in [1, n]: (1-alpha)_n = 0 kills the log channel and
-            # leaves the residue of (1-alpha)_n sigma_alpha / 2 times Phi
-            lim = 0.5 * (-1.0) ** l0 * math.factorial(l0 - 1) * math.factorial(n - l0)
-            p = sf.frobenius_poly(par.alpha, n, rho)
-            phi = sf.kummer_m(par.alpha, par.beta, rho, ctl)
-            return pre * (
-                (kappa0 * u) ** (0.5 - n) * p
-                - rest * lim * (kappa0 * u) ** (0.5 + n) * phi
-            )
-        s1, s0, p = sf.kummer_log_companion(par.alpha, n, rho, ctl)
-        pref = sf.pochhammer(1 - par.alpha, n) * rest
-        lg = math.log(kappa0 * u)
-        return pre * (
-            (kappa0 * u) ** (0.5 - n) * p
-            - pref * (kappa0 * u) ** (0.5 + n) * (2.0 * lg * s1 + s0)
-        )
+    return _osc_at(kind, m, as_energy(W), lam, kappa0, ctl)(u)
+
+
+def _osc_at(kind: str, m: int, e: ComplexEnergy, lam: float, kappa0: float, ctl=sf.DEFAULT_CONTROL):
+    """u -> the named solution at energy e, with the energy's constants built
+    once."""
     if kind == "O2_0":
-        dphi = sf.kummer_m_param_derivative(par.alpha, 1.0, rho, 0.5, 1.0, ctl)
-        o1 = (kappa0 * u) ** 0.5 * pre * sf.kummer_m(par.alpha, 1.0, rho, ctl)
-        return (kappa0 * u) ** 0.5 * pre * dphi + o1 * math.log(kappa0 * u)
-    raise ValidationError(f"unknown oscillator solution kind {kind!r}")
+        pair = _osc_pair(e, lam, kappa0, ctl)
+        return lambda u: pair(u)[1]
+    if lam == 0:
+        return lambda u: _osc_solution_free(kind, m, u, e, kappa0, ctl)
+    par = osc_parameters(m, e.value, lam)
+    if kind == "O4":
+        return lambda u: _osc_o4(par, u, kappa0, ctl)
+    series = {"O1": sf.kummer_m, "O3": sf.tricomi_u}.get(kind)
+    if series is None:
+        raise ValidationError(f"unknown oscillator solution kind {kind!r}")
+    power = 0.5 + abs(m)
+
+    def solution(u: float) -> complex:
+        rho = par.rho(u)
+        return (kappa0 * u) ** power * cmath.exp(-0.5 * rho) * series(par.alpha, par.beta, rho, ctl)
+
+    return solution
+
+
+def _osc_pair(e: ComplexEnergy, lam: float, kappa0: float, ctl=sf.DEFAULT_CONTROL):
+    """u -> (O1, O2_0) for m = 0 from one series pass per point (one J0/H1
+    pair at lambda = 0): O2_0's parameter derivative carries O1's Phi along."""
+    if lam == 0:
+        if e.value == 0:
+            raise ValidationError("lambda = 0 Bessel solutions need W != 0")
+        K, om00 = e.sqrt_forward(), _omega00(e, kappa0)
+
+        def free_pair(u: float) -> tuple[complex, complex]:
+            root = (kappa0 * u) ** 0.5
+            o1 = root * sf.bessel("J", 0, K * u, ctl)
+            return o1, -0.5j * math.pi * root * sf.bessel("H1", 0, K * u, ctl) + om00 * o1
+
+        return free_pair
+    par = osc_parameters(0, e.value, lam)
+
+    def pair(u: float) -> tuple[complex, complex]:
+        rho = par.rho(u)
+        pre = (kappa0 * u) ** 0.5 * cmath.exp(-0.5 * rho)
+        phi, dphi = sf.kummer_m_with_param_derivative(par.alpha, 1.0, rho, 0.5, 1.0, ctl)
+        o1 = pre * phi
+        return o1, pre * dphi + o1 * math.log(kappa0 * u)
+
+    return pair
+
+
+def _osc_o4(par: OscCoefficients, u: float, kappa0: float, ctl: sf.SeriesControl) -> complex:
+    n = par.beta - 1
+    rho = par.rho(u)
+    rest = (par.varkappa / kappa0) ** (2 * n) / (math.factorial(n - 1) * math.factorial(n))
+    _, p, log_part = sf.kummer_log_channel(par.alpha, n, rho, 2.0 * math.log(kappa0 * u), ctl)
+    return cmath.exp(-0.5 * rho) * (
+        (kappa0 * u) ** (0.5 - n) * p - rest * (kappa0 * u) ** (0.5 + n) * log_part
+    )
 
 
 def _osc_solution_free(
@@ -157,11 +172,6 @@ def _osc_solution_free(
             return root * sf.bessel("J", 0, K * u, ctl)
         if kind == "O3":
             return -0.5j * math.pi * root * sf.bessel("H1", 0, K * u, ctl)
-        if kind == "O2_0":
-            om00 = _omega00(W, kappa0)
-            o1 = root * sf.bessel("J", 0, K * u, ctl)
-            o3 = -0.5j * math.pi * root * sf.bessel("H1", 0, K * u, ctl)
-            return o3 + om00 * o1
         raise ValidationError(f"unknown m=0 solution kind {kind!r}")
     d1 = kappa0**0.5 * math.factorial(n) * (K / (2 * kappa0)) ** (-n)
     d3 = math.pi * kappa0**0.5 * (K / (2 * kappa0)) ** n / math.factorial(n - 1)
@@ -190,7 +200,7 @@ def osc_coefficients(
     n = abs(m)
     if n < 1 or lam == 0:
         raise ValidationError("coefficients defined for |m| >= 1, lambda != 0")
-    par = osc_parameters(m, _energy(W).value, lam)
+    par = osc_parameters(m, as_energy(W).value, lam)
     if sf._nonpositive_int(par.alpha) is not None:
         raise sf.PoleError(int(round(par.alpha.real)), "Gamma(alpha)")
     if sf._nonpositive_int(par.alpha_minus) is not None:
@@ -232,7 +242,7 @@ def osc_family_function(
     W: ComplexEnergy | complex | float, lam: float, kappa0: float = 1.0
 ) -> complex:
     """m=0 eigenvalue function f(W): discrete levels solve f(E) + tan(zeta) = 0."""
-    e = _energy(W)
+    e = as_energy(W)
     if lam == 0:
         return _omega00(e, kappa0)
     return 0.5 * _omega0(e.value, lam, kappa0)
@@ -241,14 +251,10 @@ def osc_family_function(
 # --- spectral data -------------------------------------------------------------
 
 
-def _tan(zeta: float) -> float:
-    return math.tan(zeta)
-
-
 def _osc_m0_root(lam: float, kappa0: float, zeta: float, n: int) -> float:
     """n-th root of f(E) = -tan(zeta), bracketed inside the pole ladder."""
     sq = 2.0 * math.sqrt(lam)
-    target = -_tan(zeta)
+    target = -math.tan(zeta)
 
     def f(E: float) -> float:
         return osc_family_function(E, lam, kappa0).real - target
@@ -271,18 +277,10 @@ def _osc_m0_root(lam: float, kappa0: float, zeta: float, n: int) -> float:
     return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
 
-def _osc_m0_weight(E: float, lam: float, kappa0: float, zeta: float) -> float:
-    """Atom weight from the residue of -(1/(pi k0 cos^2 z)) Im 1/(f + tan z)."""
-    par = osc_parameters(0, E, lam)
-    fprime = sf.trigamma(par.alpha.real) / (8.0 * math.sqrt(lam))
-    return 1.0 / (kappa0 * math.cos(zeta) ** 2 * fprime)
-
-
 def _density_m_neg(m: int, lam: float, kappa0: float):
     """|m|>=1, lambda<0: continuous density on the whole real axis."""
     n = abs(m)
-    beta = 1 + n
-    gb2 = math.factorial(n) ** 2  # Gamma(beta)^2
+    gb2 = math.factorial(n) ** 2  # Gamma(1 + |m|)^2
     root = math.sqrt(-lam)
     scale = (root / kappa0**2) ** n
 
@@ -332,10 +330,47 @@ def _density_m0_free(kappa0: float, zeta: float):
         if E <= 0:
             return 0.0
         c, s = math.cos(zeta), math.sin(zeta)
-        g = -2.0 * _EULER - math.log(E / (4.0 * kappa0**2))
+        g = -2.0 * sf.EULER_GAMMA - math.log(E / (4.0 * kappa0**2))
         return (2.0 / kappa0) / ((g * c + 2.0 * s) ** 2 + math.pi**2 * c * c)
 
     return density
+
+
+def _osc_levels(spec: ProblemSpec, cell: RegimeClass):
+    """(number of atoms, None for an infinite ladder; k -> the k-th atom
+    (E_k, Q_k^2)).  Every atom is computed on its own: each ladder level has
+    its own bracket, so one level costs one root solve."""
+    lam, k0 = spec.coupling, spec.kappa0
+    if cell is RegimeClass.OSC_M_POS_LAMBDA_POS:
+        n = abs(spec.m)
+        sq = 2.0 * math.sqrt(lam)
+        vk = lam**0.25
+
+        def atom(k: int) -> tuple[float, float]:
+            q = ((vk / k0) ** n / math.factorial(n)) * math.sqrt(
+                sq * sf.pochhammer(1.0 + k, n).real / k0
+            )
+            return sq * (1 + n + 2 * k), q * q
+
+        return None, atom
+    if cell is RegimeClass.OSC_M0_LAMBDA_POS:
+        sq = 2.0 * math.sqrt(lam)
+        if spec.extension.is_half_pi:
+            return None, lambda k: (sq * (1 + 2 * k), sq / k0)
+        zeta = spec.zeta
+
+        def root(k: int) -> tuple[float, float]:
+            e = _osc_m0_root(lam, k0, zeta, k)
+            # weight: residue of -(1/(pi k0 cos^2 z)) Im 1/(f + tan z)
+            fprime = sf.trigamma(osc_parameters(0, e, lam).alpha.real) / (8.0 * math.sqrt(lam))
+            return e, 1.0 / (k0 * math.cos(zeta) ** 2 * fprime)
+
+        return None, root
+    if cell is RegimeClass.OSC_M0_LAMBDA_ZERO and not spec.extension.is_half_pi:
+        zeta = spec.zeta
+        e_b = -4.0 * k0 * k0 * math.exp(2.0 * (-sf.EULER_GAMMA + math.tan(zeta)))
+        return 1, lambda k: (e_b, 2.0 * abs(e_b) / (k0 * math.cos(zeta) ** 2))
+    return 0, None
 
 
 def osc_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
@@ -344,41 +379,19 @@ def osc_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
         raise ValidationError("osc_spectrum needs an oscillator spec")
     cell = classify(spec)
     lam, k0 = spec.coupling, spec.kappa0
-    if cell is RegimeClass.OSC_M_POS_LAMBDA_POS:
-        n = abs(spec.m)
-        sq = 2.0 * math.sqrt(lam)
-        vk = lam**0.25
-        atoms = []
-        for k in range(levels):
-            e = sq * (1 + n + 2 * k)
-            q = ((vk / k0) ** n / math.factorial(n)) * math.sqrt(
-                sq * sf.pochhammer(1.0 + k, n).real / k0
-            )
-            atoms.append((e, q * q))
-        return SpectralMeasure(tuple(atoms), None, "empty")
+    count, atom = _osc_levels(spec, cell)
+    # tuple() of a list, not of a generator: the generator form leaves tuples
+    # of its intermediate sizes in CPython's free lists and raises peak memory
+    atoms = tuple([atom(k) for k in range(levels if count is None else count)])
     if cell is RegimeClass.OSC_M_POS_LAMBDA_NEG:
-        return SpectralMeasure((), _density_m_neg(spec.m, lam, k0), "R")
+        return SpectralMeasure(atoms, _density_m_neg(spec.m, lam, k0), "R")
     if cell is RegimeClass.OSC_M_POS_LAMBDA_ZERO:
-        return SpectralMeasure((), _density_m_free(spec.m, k0), "R+")
-    zeta = spec.zeta
-    if cell is RegimeClass.OSC_M0_LAMBDA_POS:
-        sq = 2.0 * math.sqrt(lam)
-        if spec.extension.is_half_pi:
-            atoms = tuple((sq * (1 + 2 * k), sq / k0) for k in range(levels))
-            return SpectralMeasure(atoms, None, "empty")
-        atoms = []
-        for k in range(levels):
-            e = _osc_m0_root(lam, k0, zeta, k)
-            atoms.append((e, _osc_m0_weight(e, lam, k0, zeta)))
-        return SpectralMeasure(tuple(atoms), None, "empty")
+        return SpectralMeasure(atoms, _density_m_free(spec.m, k0), "R+")
     if cell is RegimeClass.OSC_M0_LAMBDA_NEG:
-        return SpectralMeasure((), _density_m0_neg(lam, k0, zeta), "R")
-    # m = 0, lambda = 0
-    atoms = ()
-    if not spec.extension.is_half_pi:
-        e_b = -4.0 * k0 * k0 * math.exp(2.0 * (-_EULER + _tan(zeta)))
-        atoms = ((e_b, 2.0 * abs(e_b) / (k0 * math.cos(zeta) ** 2)),)
-    return SpectralMeasure(atoms, _density_m0_free(k0, zeta), "R+")
+        return SpectralMeasure(atoms, _density_m0_neg(lam, k0, spec.zeta), "R")
+    if cell is RegimeClass.OSC_M0_LAMBDA_ZERO:
+        return SpectralMeasure(atoms, _density_m0_free(k0, spec.zeta), "R+")
+    return SpectralMeasure(atoms, None, "empty")
 
 
 def osc_density(spec: ProblemSpec, E: float) -> float:
@@ -389,23 +402,11 @@ def osc_density(spec: ProblemSpec, E: float) -> float:
 # --- Green function and resolvent diagonal ------------------------------------
 
 
-def _u_zeta(u: float, W, lam: float, kappa0: float, zeta: float) -> complex:
-    o1 = osc_solution("O1", 0, u, W, lam, kappa0)
-    o2 = osc_solution("O2_0", 0, u, W, lam, kappa0)
-    return o1 * math.sin(zeta) + o2 * math.cos(zeta)
-
-
-def _u_zeta_tilde(u: float, W, lam: float, kappa0: float, zeta: float) -> complex:
-    o1 = osc_solution("O1", 0, u, W, lam, kappa0)
-    o2 = osc_solution("O2_0", 0, u, W, lam, kappa0)
-    return o1 * math.cos(zeta) - o2 * math.sin(zeta)
-
-
 def osc_spectral_omega(spec: ProblemSpec, W: ComplexEnergy | complex) -> complex:
     """Resolvent diagonal coefficient: sigma'(E) = (1/pi) Im of this at E + i0."""
     cell = classify(spec)
     lam, k0 = spec.coupling, spec.kappa0
-    e = _energy(W)
+    e = as_energy(W)
     if cell is RegimeClass.OSC_M_POS_LAMBDA_POS or cell is RegimeClass.OSC_M_POS_LAMBDA_NEG:
         _, b, _, omega = osc_coefficients(spec.m, e, lam, k0)
         return b / omega
@@ -414,13 +415,9 @@ def osc_spectral_omega(spec: ProblemSpec, W: ComplexEnergy | complex) -> complex
         K = e.sqrt_forward()
         om = (e.value / (4.0 * k0 * k0)) ** n / math.factorial(n) ** 2
         return (math.pi / (2.0 * k0)) * om * (1j - (2.0 / math.pi) * cmath.log(K / k0))
+    # the m = 0 families, lambda = 0 included, share the halved convention
     zeta = spec.zeta
     f = osc_family_function(e, lam, k0)
-    if cell is RegimeClass.OSC_M0_LAMBDA_ZERO:
-        om_z = f * math.cos(zeta) + math.sin(zeta)
-        om_zt = f * math.sin(zeta) - math.cos(zeta)
-        return om_zt / (k0 * om_z)
-    # lambda != 0 families share the halved convention
     om_z = f * math.cos(zeta) + math.sin(zeta)
     om_zt = f * math.sin(zeta) - math.cos(zeta)
     return om_zt / (k0 * om_z)
@@ -430,57 +427,61 @@ def osc_green(
     spec: ProblemSpec, u: float, v: float, W: ComplexEnergy | complex
 ) -> complex:
     """Green function G(u, v; W) of the cell's self-adjoint operator, Im W > 0."""
-    e = _energy(W)
+    e = as_energy(W)
     if e.value.imag <= 0:
         raise ValidationError("Green function requires Im W > 0 (use the density path)")
     cell = classify(spec)
     lam, k0 = spec.coupling, spec.kappa0
     hi, lo = max(u, v), min(u, v)
-    if cell is RegimeClass.OSC_M_POS_LAMBDA_POS or cell is RegimeClass.OSC_M_POS_LAMBDA_NEG:
-        _, _, _, omega = osc_coefficients(spec.m, e, lam, k0)
+    if spec.m != 0:
+        if cell is RegimeClass.OSC_M_POS_LAMBDA_ZERO:
+            omega = 2.0 * k0 * abs(spec.m)
+        else:
+            _, _, _, omega = osc_coefficients(spec.m, e, lam, k0)
         return (
             osc_solution("O3", spec.m, hi, e, lam, k0)
             * osc_solution("O1", spec.m, lo, e, lam, k0)
             / omega
         )
-    if cell is RegimeClass.OSC_M_POS_LAMBDA_ZERO:
-        return (
-            osc_solution("O3", spec.m, hi, e, lam, k0)
-            * osc_solution("O1", spec.m, lo, e, lam, k0)
-            / (2.0 * k0 * abs(spec.m))
-        )
-    zeta = spec.zeta
     om = osc_spectral_omega(spec, e)
-    uu_hi = _u_zeta(hi, e, lam, k0, zeta)
-    uu_lo = _u_zeta(lo, e, lam, k0, zeta)
-    ut_hi = _u_zeta_tilde(hi, e, lam, k0, zeta)
-    uv = _u_zeta(u, e, lam, k0, zeta) * _u_zeta(v, e, lam, k0, zeta)
-    return om * uv + (1.0 / k0) * ut_hi * uu_lo
+    pair = _osc_pair(e, lam, k0)
+    c, s = math.cos(spec.zeta), math.sin(spec.zeta)
+    # u_zeta = sin O1 + cos O2_0 and u~_zeta = cos O1 - sin O2_0
+    (h1, h2), (l1, l2) = pair(hi), pair(lo)
+    u_hi, u_lo = h1 * s + h2 * c, l1 * s + l2 * c
+    return om * (u_hi * u_lo) + (1.0 / k0) * (h1 * c - h2 * s) * u_lo
 
 
 # --- eigenfunctions -------------------------------------------------------------
 
 
-def _osc_m0_bound_wave(spec: ProblemSpec, energy: float, amp: float):
-    """m = 0 bound state for |zeta| < pi/2.
+def _m0_family_wave(spec: ProblemSpec, e: ComplexEnergy, amp: float, bound: bool):
+    """m = 0 wave for |zeta| < pi/2.
 
-    Beyond u_switch the sin/cos combination of the two regular solutions
-    cancels catastrophically, so continue with the decaying solution O3
-    scaled to match at the switch point."""
+    For a bound state, beyond u_switch the sin/cos combination of the two
+    regular solutions cancels catastrophically, so continue with the
+    decaying solution O3 scaled to match at the switch point."""
     lam, k0 = spec.coupling, spec.kappa0
-    zeta = spec.zeta
+    pair = _osc_pair(e, lam, k0)
+    c, s = math.cos(spec.zeta), math.sin(spec.zeta)
+
+    def direct(u: float) -> complex:
+        o1, o2 = pair(u)
+        return o1 * s + o2 * c
+
+    if not bound:
+        return lambda u: (amp * direct(u)).real
     if lam > 0:
         u_switch = math.sqrt(8.0) / lam**0.25
     else:  # lam == 0 atom, energy < 0
-        u_switch = 4.0 / math.sqrt(-energy)
-    ratio = _u_zeta(u_switch, energy, lam, k0, zeta) / osc_solution(
-        "O3", 0, u_switch, energy, lam, k0
-    )
+        u_switch = 4.0 / math.sqrt(-e.value.real)
+    o3 = _osc_at("O3", 0, e, lam, k0)
+    ratio = direct(u_switch) / o3(u_switch)
 
     def ev(u: float) -> float:
         if u < u_switch:
-            return (amp * _u_zeta(u, energy, lam, k0, zeta)).real
-        return (amp * ratio * osc_solution("O3", 0, u, energy, lam, k0)).real
+            return (amp * direct(u)).real
+        return (amp * ratio * o3(u)).real
 
     return ev
 
@@ -488,42 +489,30 @@ def _osc_m0_bound_wave(spec: ProblemSpec, energy: float, amp: float):
 def osc_eigenfunction(spec: ProblemSpec, index_or_energy: int | float) -> RadialWave:
     """Normalized eigenfunction (int index -> discrete level, float -> energy)."""
     cell = classify(spec)
-    lam, k0 = spec.coupling, spec.kappa0
     n = abs(spec.m)
     discrete = isinstance(index_or_energy, int) and not isinstance(index_or_energy, bool)
     if discrete:
         idx = index_or_energy
         if idx < 0:
             raise ValidationError("level index must be >= 0")
-        measure = osc_spectrum(spec, levels=idx + 1)
-        if idx >= len(measure.discrete):
+        count, atom = _osc_levels(spec, cell)
+        if count is not None and idx >= count:
             raise ValidationError(f"cell has no discrete level with index {idx}")
-        energy, weight = measure.discrete[idx]
-        q = math.sqrt(weight)
-        if n >= 1:
-            ev = lambda u: (q * osc_solution("O1", spec.m, u, energy, lam, k0)).real
-            tag = f"u^({1 + 2 * n}/2)"
-        elif spec.extension.is_half_pi:
-            ev = lambda u: (q * osc_solution("O1", 0, u, energy, lam, k0)).real
-            tag = "u^(1/2)"
-        else:
-            ev = _osc_m0_bound_wave(spec, energy, q)
-            tag = "u^(1/2)*(sin z + cos z ln(k0 u))"
-        return RadialWave(ev, q, tag, energy)
-    energy = float(index_or_energy)
-    measure = osc_spectrum(spec, levels=0)
-    dens = measure.density_at(energy)
-    if measure.support == "empty" or dens <= 0:
-        raise ValidationError(f"E={energy} is not in the continuous spectrum")
-    rho = math.sqrt(dens)
-    if n >= 1:
-        ev = lambda u: (rho * osc_solution("O1", spec.m, u, energy, lam, k0)).real
-        tag = f"u^({1 + 2 * n}/2)"
-    elif spec.extension.is_half_pi:
-        ev = lambda u: (rho * osc_solution("O1", 0, u, energy, lam, k0)).real
-        tag = "u^(1/2)"
+        energy, weight = atom(idx)
+        amp = math.sqrt(weight)
     else:
-        zeta = spec.zeta
-        ev = lambda u: (rho * _u_zeta(u, energy, lam, k0, zeta)).real
+        energy = float(index_or_energy)
+        measure = osc_spectrum(spec, levels=0)
+        dens = measure.density_at(energy)
+        if measure.support == "empty" or dens <= 0:
+            raise ValidationError(f"E={energy} is not in the continuous spectrum")
+        amp = math.sqrt(dens)
+    e = as_energy(energy)
+    if n >= 1 or spec.extension.is_half_pi:
+        o1 = _osc_at("O1", spec.m, e, spec.coupling, spec.kappa0)
+        ev = lambda u: (amp * o1(u)).real
+        tag = f"u^({1 + 2 * n}/2)"
+    else:
+        ev = _m0_family_wave(spec, e, amp, bound=discrete)
         tag = "u^(1/2)*(sin z + cos z ln(k0 u))"
-    return RadialWave(ev, rho, tag, energy)
+    return RadialWave(ev, amp, tag, energy)

@@ -30,6 +30,8 @@ __all__ = [
     "kummer_m",
     "tricomi_u",
     "kummer_m_param_derivative",
+    "kummer_m_with_param_derivative",
+    "kummer_log_channel",
     "kummer_log_companion",
     "degenerate_log_index",
     "frobenius_poly",
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 _INT_TOL = 1e-12
+EULER_GAMMA = 0.5772156649015329  # -psi(1)
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,12 @@ def _kummer_asymptotic(a: complex, b: complex, z: complex, ctl: SeriesControl) -
     return gamma_fn(b) * (t1 + t2)
 
 
+def _plain_series(a: complex, z: complex, ctl: SeriesControl) -> bool:
+    """True where kummer_m sums Phi's plain power series, so that the same sum
+    from kummer_log_companion or kummer_m_with_param_derivative stands in."""
+    return z.real >= 0 and abs(z) <= ctl.asymptotic_switch_radius and _nonpositive_int(a) is None
+
+
 def kummer_m(
     a: complex, b: complex, z: complex, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> complex:
@@ -193,6 +202,8 @@ def kummer_m(
         raise PoleError(pb, "kummer_m second parameter")
     if z == 0:
         return 1.0 + 0.0j
+    if _plain_series(a, z, ctl):
+        return _kummer_series(a, b, z, ctl)
     if z.real < 0:
         return cmath.exp(z) * kummer_m(b - a, b, -z, ctl)
     pa = _nonpositive_int(a)
@@ -204,9 +215,7 @@ def kummer_m(
             term *= (a + k) * z / ((b + k) * (k + 1))
             s += term
         return s
-    if abs(z) > ctl.asymptotic_switch_radius:
-        return _kummer_asymptotic(a, b, z, ctl)
-    return _kummer_series(a, b, z, ctl)
+    return _kummer_asymptotic(a, b, z, ctl)
 
 
 # --- logarithmic Frobenius companion ----------------------------------------
@@ -263,21 +272,67 @@ def kummer_log_companion(
         )
     sigma_a = sum(1.0 / (a - l) for l in range(1, n + 1))
     p = frobenius_poly(a, n, z)
-    # S1 and S0 summed together so they share one convergence decision
+    # S1 and S0 summed together so they share one convergence decision,
+    # which also holds S1 to kummer_m's own rule; psi(1) = -gamma and
+    # psi(n + 1) = H_n - gamma
     c = 1.0 + 0.0j
-    brk = 0.5 * sigma_a - digamma(1.0) - digamma(n + 1.0)
-    s1 = c
-    s0 = c * brk
+    brk = 0.5 * sigma_a + EULER_GAMMA - (math.fsum(1.0 / l for l in range(1, n + 1)) - EULER_GAMMA)
+    s1, s0 = c, c * brk
     az = abs(z)
-    for k in range(ctl.max_terms):
+    zero = _pochhammer_zero(a, ctl)
+    for k in range(zero):
         brk = brk + 1.0 / (a + k) - 1.0 / (k + 1) - 1.0 / (n + k + 1)
         c *= (a + k) * z / ((n + 1 + k) * (k + 1))
         s1 += c
         s0 += c * brk
-        scale = max(abs(s1), abs(s0))
-        if k > az and abs(c) * (1.0 + abs(brk)) <= ctl.rel_tol * scale:
+        scale = ctl.rel_tol * max(abs(s1), abs(s0))
+        if k > az and abs(c) <= ctl.rel_tol * abs(s1) and abs(c) * (1.0 + abs(brk)) <= scale:
             return s1, s0, p
-    raise AccuracyError(abs(c) / max(abs(s1), 1e-300), ctl.rel_tol)
+    if zero == ctl.max_terms:
+        raise AccuracyError(abs(c) / max(abs(s1), 1e-300), ctl.rel_tol)
+    # S1 has terminated; the bracket's 1/(a + zero) takes the place of the zero
+    r = c * z / ((n + 1 + zero) * (zero + 1))
+    return s1, _pole_tail(s0, r, a, n + 1, z, zero + 1, abs(s1), ctl), p
+
+
+def kummer_log_channel(
+    a: complex, n: int, z: complex, log_r: float, ctl: SeriesControl = DEFAULT_CONTROL
+) -> tuple[complex, complex, complex]:
+    """(Phi, P, L) of a fourth radial solution at integer b = n + 1 >= 2:
+    Phi(a, n+1; z), the Frobenius polynomial P, and L = (1-a)_n (log_r S1 + S0)
+    or, at a = l0 in [1, n], its limit: the residue of (1-a)_n sigma_a / 2
+    times Phi.  Phi is S1 itself where kummer_m would sum the same series."""
+    l0 = degenerate_log_index(a, n)
+    if l0 is not None:
+        phi = kummer_m(a, n + 1, z, ctl)
+        lim = 0.5 * (-1.0) ** l0 * math.factorial(l0 - 1) * math.factorial(n - l0)
+        return phi, frobenius_poly(a, n, z), lim * phi
+    s1, s0, p = kummer_log_companion(a, n, z, ctl)
+    phi = s1 if _plain_series(a, z, ctl) else kummer_m(a, n + 1, z, ctl)
+    return phi, p, pochhammer(1 - a, n) * (log_r * s1 + s0)
+
+
+def _pochhammer_zero(a: complex, ctl: SeriesControl) -> int:
+    """J with a + J == 0 exactly, capped at ctl.max_terms (also returned when
+    a is not a non-positive integer): (a)_k vanishes for every k > J."""
+    if a.imag == 0 and a.real <= 0 and a.real.is_integer():
+        return min(-int(a.real), ctl.max_terms)
+    return ctl.max_terms
+
+
+def _pole_tail(s, r, a, b, z, k0: int, scale: float, ctl: SeriesControl) -> complex:
+    """s plus the terms k >= k0 of a series differentiated in a, at a = 1 - k0:
+    there (a)_k vanishes and h_k(a) has the pole 1/(a + k0 - 1), so T_k h_k
+    tends to T_k / (a + k0 - 1), with first term r, and the rest of h_k
+    drops out with T_k."""
+    s += r
+    az = abs(z)
+    for k in range(k0, ctl.max_terms):
+        r *= (a + k) * z / ((b + k) * (k + 1))
+        s += r
+        if k > az and abs(r) <= ctl.rel_tol * max(abs(s), scale):
+            return s
+    raise AccuracyError(abs(r) / max(abs(s), 1e-300), ctl.rel_tol)
 
 
 # --- Tricomi Psi ------------------------------------------------------------
@@ -333,36 +388,47 @@ def tricomi_u(
 # --- parameter derivative of Phi --------------------------------------------
 
 
-def kummer_m_param_derivative(
-    a: complex,
-    b: complex,
-    z: complex,
-    da: float,
-    db: float,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> complex:
-    """Directional derivative of Phi(a,b;z) along (da, db) in its parameters.
-
-    Term-wise differentiated series: the k-th term of Phi picks up the
-    factor da*h_k(a) - db*h_k(b) with h_k(x) = sum_{j<k} 1/(x+j).
-    """
+def kummer_m_with_param_derivative(
+    a: complex, b: complex, z: complex, da: float, db: float, ctl: SeriesControl = DEFAULT_CONTROL
+) -> tuple[complex, complex]:
+    """Phi(a,b;z) and its directional derivative along (da, db) in the
+    parameters, from one pass over the term-wise differentiated series: the
+    k-th term of Phi picks up the factor da*h_k(a) - db*h_k(b) with
+    h_k(x) = sum_{j<k} 1/(x+j).  Where kummer_m would not sum that series,
+    Phi is kummer_m's value."""
     a, b, z = complex(a), complex(b), complex(z)
     pb = _nonpositive_int(b)
     if pb is not None:
         raise PoleError(pb, "kummer_m_param_derivative second parameter")
-    if z == 0:
-        return 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    g = 0.0 + 0.0j
-    s = 0.0 + 0.0j
+    plain = _plain_series(a, z, ctl)
+    term, g, s, ds = 1.0 + 0.0j, 0.0j, 1.0 + 0.0j, 0.0j
     az = abs(z)
-    for k in range(ctl.max_terms):
+    zero = _pochhammer_zero(a, ctl)
+    for k in range(zero):
         g = g + da / (a + k) - db / (b + k)
         term *= (a + k) * z / ((b + k) * (k + 1))
-        s += term * g
-        if k > az and abs(term) * (1.0 + abs(g)) <= ctl.rel_tol * max(abs(s), 1e-300):
-            return s
-    raise AccuracyError(abs(term) / max(abs(s), 1e-300), ctl.rel_tol)
+        s += term
+        ds += term * g
+        if (
+            k > az
+            and abs(term) * (1.0 + abs(g)) <= ctl.rel_tol * max(abs(ds), 1e-300)
+            and (not plain or abs(term) <= ctl.rel_tol * abs(s))
+        ):
+            break
+    else:
+        if zero == ctl.max_terms:
+            raise AccuracyError(abs(term) / max(abs(ds), 1e-300), ctl.rel_tol)
+        # Phi has terminated; da / (a + zero) takes the place of the zero
+        ds = _pole_tail(ds, da * term * z / ((b + zero) * (zero + 1)), a, b, z, zero + 1, 0.0, ctl)
+    return (s if plain else kummer_m(a, b, z, ctl)), ds
+
+
+def kummer_m_param_derivative(
+    a: complex, b: complex, z: complex, da: float, db: float, ctl: SeriesControl = DEFAULT_CONTROL
+) -> complex:
+    """Directional derivative of Phi(a,b;z) along (da, db) in its parameters:
+    the derivative half of kummer_m_with_param_derivative."""
+    return kummer_m_with_param_derivative(a, b, z, da, db, ctl)[1]
 
 
 # --- Bessel ------------------------------------------------------------------
