@@ -19,17 +19,19 @@ from . import specfun as sf
 from .core import (
     ExtensionParam,
     ProblemSpec,
+    SpectralMeasure,
     Theory,
     ValidationError,
+    classify,
 )
-from .coulomb import coul_spectrum
+from .coulomb import _coul_continuum, coul_spectrum
 from .duality import (
     verify_coefficient_identities,
     verify_solution_identity,
     verify_spectrum_correspondence,
 )
 from .oracle import GridSpec, compare_spectra, fd_eigenvalues
-from .oscillator import osc_eigenfunction, osc_spectrum
+from .oscillator import _osc_continuum, osc_eigenfunction, osc_spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -75,6 +77,12 @@ def _get_spectrum(spec: ProblemSpec, levels: int):
     return coul_spectrum(spec, levels=levels)
 
 
+def _get_continuum(spec: ProblemSpec) -> SpectralMeasure:
+    """The continuous part of the measure alone: no atom is solved for."""
+    continuum = _osc_continuum if spec.theory is Theory.OSCILLATOR else _coul_continuum
+    return SpectralMeasure((), *continuum(spec, classify(spec)))
+
+
 def _cmd_spectrum(args, out) -> int:
     spec = _build_spec(args)
     measure = _get_spectrum(spec, args.levels)
@@ -104,7 +112,7 @@ def _cmd_spectrum(args, out) -> int:
 
 def _cmd_density(args, out) -> int:
     spec = _build_spec(args)
-    measure = _get_spectrum(spec, 0)
+    measure = _get_continuum(spec)
     if args.samples < 2 or args.emax <= args.emin:
         raise ValidationError("need emin < emax and samples >= 2")
     step = (args.emax - args.emin) / (args.samples - 1)

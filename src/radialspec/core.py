@@ -22,6 +22,7 @@ __all__ = [
     "SamplePoint",
     "sample_measure",
     "RadialWave",
+    "brentq",
 ]
 
 HALF_PI = math.pi / 2
@@ -252,3 +253,68 @@ class RadialWave:
         if u <= 0:
             raise ValidationError("radial coordinate must be positive")
         return self.evaluator(u)
+
+
+def brentq(
+    f: Callable[[float], float], a: float, b: float, *, xtol: float, rtol: float, maxiter: int
+) -> float:
+    """Root of f in the bracket [a, b] by Brent's method (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4).
+
+    A step-for-step port of SciPy's brentq.c, so roots are bit-identical to
+    scipy.optimize.brentq's: each step takes inverse quadratic extrapolation
+    (secant interpolation when only two points are distinct) if it stays
+    well inside the bracket, else bisects; it stops when half the bracket is
+    below delta = (xtol + rtol |x|) / 2.  Raises ValueError when f(a) and
+    f(b) have the same sign or f returns NaN, and RuntimeError after maxiter
+    steps."""
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"the function value at x={x:.15g} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # zeros and NaNs are ruled out before every sign test, so f < 0 reads
+    # the sign bit as brentq.c's signbit() does
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # xblk is the contrapoint: [xcur, xblk] always brackets the root
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur!r}")

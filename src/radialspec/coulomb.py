@@ -13,8 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from . import specfun as sf
 from .core import (
     ComplexEnergy,
@@ -25,6 +23,7 @@ from .core import (
     Theory,
     ValidationError,
     as_energy,
+    brentq,
     classify,
 )
 
@@ -396,27 +395,33 @@ def _coul_levels(spec: ProblemSpec, cell: RegimeClass):
     return 1, lambda n: weighted(_family_root(m, g, k0, target, lo, -1e-12, expand=True))
 
 
+def _coul_continuum(spec: ProblemSpec, cell: RegimeClass):
+    """(density, support) of the cell's continuous part; no atom is solved for."""
+    if spec.theory is not Theory.COULOMB:
+        raise ValidationError("the Coulomb spectral functions need a Coulomb spec")
+    g, k0 = spec.coupling, spec.kappa0
+    if cell is RegimeClass.COUL_UNIQUE:
+        return _density_unique(spec.m, g, k0), "R+"
+    half_pi = spec.extension.is_half_pi
+    density = _density_m1 if cell is RegimeClass.COUL_M1_FAMILY else _density_m0
+    return density(g, k0, spec.zeta, half_pi), "R+"
+
+
 def coul_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
     """Full spectral measure for a Coulomb cell: R+ continuum plus the
     cell's negative atoms per the case tables."""
-    if spec.theory is not Theory.COULOMB:
-        raise ValidationError("coul_spectrum needs a Coulomb spec")
     cell = classify(spec)
-    g, k0 = spec.coupling, spec.kappa0
+    density, support = _coul_continuum(spec, cell)
     count, atom = _coul_levels(spec, cell)
     # tuple() of a list, not of a generator: the generator form leaves tuples
     # of its intermediate sizes in CPython's free lists and raises peak memory
     atoms = tuple([atom(k) for k in range(levels if count is None else count)])
-    if cell is RegimeClass.COUL_UNIQUE:
-        return SpectralMeasure(atoms, _density_unique(spec.m, g, k0), "R+")
-    half_pi = spec.extension.is_half_pi
-    density = _density_m1 if cell is RegimeClass.COUL_M1_FAMILY else _density_m0
-    return SpectralMeasure(atoms, density(g, k0, spec.zeta, half_pi), "R+")
+    return SpectralMeasure(atoms, density, support)
 
 
 def coul_density(spec: ProblemSpec, E: float) -> float:
     """Continuous spectral density sigma'(E) on R+; zero for E < 0."""
-    return coul_spectrum(spec, levels=0).density_at(E)
+    return SpectralMeasure((), *_coul_continuum(spec, classify(spec))).density_at(E)
 
 
 # --- Green function and resolvent diagonal ------------------------------------
@@ -534,7 +539,7 @@ def coul_eigenfunction(spec: ProblemSpec, index_or_energy: int | float) -> Radia
         amp = math.sqrt(weight)
     else:
         energy = float(index_or_energy)
-        dens = coul_spectrum(spec, levels=0).density_at(energy)
+        dens = SpectralMeasure((), *_coul_continuum(spec, cell)).density_at(energy)
         if dens <= 0:
             raise ValidationError(f"E={energy} is not in the continuous spectrum")
         amp = math.sqrt(dens)

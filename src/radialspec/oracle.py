@@ -13,9 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import specfun as sf
 from .core import (
@@ -24,6 +21,7 @@ from .core import (
     SpectralMeasure,
     Theory,
     ValidationError,
+    brentq,
     classify,
 )
 
@@ -35,7 +33,21 @@ __all__ = [
     "compare_spectra",
 ]
 
-_EULER = -float(sf.digamma(1.0).real)
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> np.ndarray:
+    """scipy.linalg.eigh_tridiagonal, imported on the first call: the closed
+    forms never need scipy.linalg, so importing radialspec does not load it."""
+    from scipy.linalg import eigh_tridiagonal as eigh
+
+    return eigh(d, e, **kwargs)
+
+
+def solve_ivp(fun, t_span, y0, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call, for the same
+    reason as eigh_tridiagonal."""
+    from scipy.integrate import solve_ivp as solve
+
+    return solve(fun, t_span, y0, **kwargs)
 
 
 class GridResolutionWarning(UserWarning):
@@ -64,6 +76,7 @@ class GridSpec:
 
 
 def _potential(spec: ProblemSpec):
+    """V(u), elementwise: takes a float or an array of radii."""
     m2 = spec.m * spec.m
     if spec.theory is Theory.OSCILLATOR:
         lam = spec.coupling
@@ -94,7 +107,7 @@ def _psi_as(spec: ProblemSpec):
         return lambda x: math.sqrt(k0 * x) * (s + 0.5 * c * math.log(k0 * x))
     g = spec.coupling
     return lambda x: k0 * x * s + c * (
-        1.0 + g * x * (math.log(k0 * x) + 2.0 * _EULER - 1.0)
+        1.0 + g * x * (math.log(k0 * x) + 2.0 * sf.EULER_GAMMA - 1.0)
     )
 
 
@@ -137,7 +150,7 @@ def _fd_solve(spec: ProblemSpec, nodes: np.ndarray, count: int) -> np.ndarray:
         u = inner
         w = u ** (2.0 * p)  # weight u^{2p}
         half = ((u[:-1] + u[1:]) / 2.0) ** (2.0 * p)
-        diag = np.array([v_reg(x) for x in u])
+        diag = v_reg(u)
         diag[:-1] += half / (h * h * w[:-1])
         diag[1:] += half / (h * h * w[1:])
         off = -half / (h * h * np.sqrt(w[:-1] * w[1:]))
@@ -146,7 +159,7 @@ def _fd_solve(spec: ProblemSpec, nodes: np.ndarray, count: int) -> np.ndarray:
         )
         return vals
     psi_as = _psi_as(spec)
-    diag = 2.0 / h**2 + np.array([vpot(u) for u in inner])
+    diag = 2.0 / h**2 + vpot(inner)
     # fold psi(u_0) = r psi(u_1) into the first retained row
     r = psi_as(float(inner[0])) / psi_as(float(inner[1]))
     diag = diag[1:]

@@ -13,8 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from . import specfun as sf
 from .core import (
     ComplexEnergy,
@@ -25,6 +23,7 @@ from .core import (
     Theory,
     ValidationError,
     as_energy,
+    brentq,
     classify,
 )
 
@@ -373,30 +372,36 @@ def _osc_levels(spec: ProblemSpec, cell: RegimeClass):
     return 0, None
 
 
+def _osc_continuum(spec: ProblemSpec, cell: RegimeClass):
+    """(density, support) of the cell's continuous part; no atom is solved for."""
+    if spec.theory is not Theory.OSCILLATOR:
+        raise ValidationError("the oscillator spectral functions need an oscillator spec")
+    lam, k0 = spec.coupling, spec.kappa0
+    if cell is RegimeClass.OSC_M_POS_LAMBDA_NEG:
+        return _density_m_neg(spec.m, lam, k0), "R"
+    if cell is RegimeClass.OSC_M_POS_LAMBDA_ZERO:
+        return _density_m_free(spec.m, k0), "R+"
+    if cell is RegimeClass.OSC_M0_LAMBDA_NEG:
+        return _density_m0_neg(lam, k0, spec.zeta), "R"
+    if cell is RegimeClass.OSC_M0_LAMBDA_ZERO:
+        return _density_m0_free(k0, spec.zeta), "R+"
+    return None, "empty"
+
+
 def osc_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
     """Full spectral measure (atoms with weights Q_n^2 and/or density) for a cell."""
-    if spec.theory is not Theory.OSCILLATOR:
-        raise ValidationError("osc_spectrum needs an oscillator spec")
     cell = classify(spec)
-    lam, k0 = spec.coupling, spec.kappa0
+    density, support = _osc_continuum(spec, cell)
     count, atom = _osc_levels(spec, cell)
     # tuple() of a list, not of a generator: the generator form leaves tuples
     # of its intermediate sizes in CPython's free lists and raises peak memory
     atoms = tuple([atom(k) for k in range(levels if count is None else count)])
-    if cell is RegimeClass.OSC_M_POS_LAMBDA_NEG:
-        return SpectralMeasure(atoms, _density_m_neg(spec.m, lam, k0), "R")
-    if cell is RegimeClass.OSC_M_POS_LAMBDA_ZERO:
-        return SpectralMeasure(atoms, _density_m_free(spec.m, k0), "R+")
-    if cell is RegimeClass.OSC_M0_LAMBDA_NEG:
-        return SpectralMeasure(atoms, _density_m0_neg(lam, k0, spec.zeta), "R")
-    if cell is RegimeClass.OSC_M0_LAMBDA_ZERO:
-        return SpectralMeasure(atoms, _density_m0_free(k0, spec.zeta), "R+")
-    return SpectralMeasure(atoms, None, "empty")
+    return SpectralMeasure(atoms, density, support)
 
 
 def osc_density(spec: ProblemSpec, E: float) -> float:
     """Continuous spectral density sigma'(E); zero off the support."""
-    return osc_spectrum(spec, levels=0).density_at(E)
+    return SpectralMeasure((), *_osc_continuum(spec, classify(spec))).density_at(E)
 
 
 # --- Green function and resolvent diagonal ------------------------------------
@@ -502,7 +507,7 @@ def osc_eigenfunction(spec: ProblemSpec, index_or_energy: int | float) -> Radial
         amp = math.sqrt(weight)
     else:
         energy = float(index_or_energy)
-        measure = osc_spectrum(spec, levels=0)
+        measure = SpectralMeasure((), *_osc_continuum(spec, cell))
         dens = measure.density_at(energy)
         if measure.support == "empty" or dens <= 0:
             raise ValidationError(f"E={energy} is not in the continuous spectrum")

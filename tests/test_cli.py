@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import radialspec
 from radialspec.cli import main
 
 
@@ -303,3 +307,53 @@ def test_byte_stable_output():
     _, first = _run(argv)
     _, second = _run(argv)
     assert first == second
+
+
+# ---------------------------------------------------------------- cold start
+
+# Run in a fresh interpreter: reports which of the heavy SciPy subpackages
+# are loaded after the import and after each subcommand, in this order.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+loaded = lambda: [m for m in HEAVY if m in sys.modules]
+import radialspec
+from radialspec.cli import main
+report = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report[" ".join(argv[:3])] = [code, loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_closed_forms_load_no_heavy_scipy():
+    coul = ["--theory", "coul", "--m", "1", "--coupling"]
+    runs = [
+        ["spectrum", *coul, "-1", "--zeta", "0.4", "--levels", "3"],
+        ["density", *coul, "0.8", "--zeta", "-1.2", "--emin", "0.1", "--emax", "2"],
+        ["duality", "--checks", "spectra", "--m", "1", "--coupling", "2", "--levels", "3"],
+        ["duality", "--checks", "solutions", "--m", "1", "--samples", "5"],
+        ["duality", "--checks", "coefficients", "--m", "2", "--samples", "5"],
+        ["verify", "--theory", "osc", "--m", "1", "--coupling", "1", "--points", "1001"],
+    ]
+    src = os.path.dirname(os.path.dirname(radialspec.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    report = json.loads(proc.stdout)
+    verify = report.pop("verify --theory osc")
+    assert report == {
+        "import": [],
+        "spectrum --theory coul": [0, []],
+        "density --theory coul": [0, []],
+        "duality --checks spectra": [0, []],
+        "duality --checks solutions": [0, []],
+        "duality --checks coefficients": [0, []],
+    }
+    # the finite-difference oracle needs scipy.linalg and nothing else
+    assert verify == [0, ["scipy.linalg"]]

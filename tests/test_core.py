@@ -1,7 +1,9 @@
 import cmath
 import math
+import random
 
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from radialspec.core import (
     ComplexEnergy,
@@ -13,6 +15,7 @@ from radialspec.core import (
     Theory,
     ValidationError,
     as_energy,
+    brentq,
     canonicalize_zeta,
     classify,
     sample_measure,
@@ -184,3 +187,73 @@ def test_sample_measure_mixed():
     assert abs(pts[2].value - 0.5) < 1e-15
     with pytest.raises(ValidationError):
         sample_measure(meas, [1.0, 0.0])
+
+
+# ---------------------------------------------------------------- brentq
+
+# the (xtol, rtol) pairs the library's root solves use
+BRENT_TOLERANCES = [(5e-16, 8.9e-16), (1e-14, 8.9e-16), (1e-10, 1e-12)]
+
+
+def _brent_case(rng):
+    """A function with one root r inside a bracket drawn around it, reversed
+    half the time; shapes range from smooth (extrapolation steps) through a
+    triple root (short steps) to a near-step (bisection)."""
+    r = rng.uniform(-5.0, 5.0)
+    s = rng.uniform(0.2, 3.0)
+    f = rng.choice(
+        [
+            lambda x: math.atan(s * (x - r)) + 0.1 * (x - r) ** 3,
+            lambda x: math.expm1(s * (x - r)),
+            lambda x: (x - r) ** 3,
+            lambda x: math.copysign(math.sqrt(abs(x - r)), x - r),
+            lambda x: math.tanh(50.0 * s * (x - r)) + 1e-3 * (x - r),
+        ]
+    )
+    a = r - 10.0 ** rng.uniform(-3.0, 1.0)
+    b = r + 10.0 ** rng.uniform(-3.0, 1.0)
+    return (f, b, a) if rng.random() < 0.5 else (f, a, b)
+
+
+@pytest.mark.parametrize("xtol, rtol", BRENT_TOLERANCES)
+def test_brentq_bit_identical_to_scipy(xtol, rtol):
+    rng = random.Random(20240811)
+    for _ in range(2000):
+        f, a, b = _brent_case(rng)
+        expected = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
+        assert brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200) == expected
+
+
+@pytest.mark.parametrize("a, b", [(0.25, 3.0), (3.0, 0.25), (-2.0, 0.25), (0.25, -2.0)])
+def test_brentq_root_at_endpoint(a, b):
+    f = lambda x: x - 0.25
+    assert brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200) == 0.25
+    assert scipy_brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200) == 0.25
+
+
+@pytest.mark.parametrize(
+    "f, a, b, maxiter, error",
+    [
+        (lambda x: x * x + 1.0, -1.0, 2.0, 200, ValueError),  # same-sign ends
+        (lambda x: math.nan, -1.0, 2.0, 200, ValueError),  # NaN at an end
+        # NaN at the first interior step
+        (lambda x: math.nan if 0.0 < x < 0.5 else x - 0.1, -1.0, 1.0, 200, ValueError),
+        (lambda x: (x - 0.3) ** 3, -4.0, 5.0, 3, RuntimeError),
+    ],
+)
+def test_brentq_errors_match_scipy(f, a, b, maxiter, error):
+    with pytest.raises(error):
+        scipy_brentq(f, a, b, xtol=5e-16, rtol=8.9e-16, maxiter=maxiter)
+    with pytest.raises(error):
+        brentq(f, a, b, xtol=5e-16, rtol=8.9e-16, maxiter=maxiter)
+
+
+@pytest.mark.parametrize("xtol", [0.1, 0.5, 1.0])
+def test_brentq_coarse_tolerance_matches_scipy(xtol):
+    """A coarse xtol makes delta comparable to the bracket, which is where a
+    step is accepted or refused by its margin 3|sbis| - delta."""
+    for r in (-2.0, -1.3, 0.4):
+        for a, b in ((-4.0, 2.0), (-6.0, 3.0), (3.0, -5.0)):
+            for f in (lambda x: math.expm1(x - r), lambda x: (x - r) ** 3 - 0.9):
+                expected = scipy_brentq(f, a, b, xtol=xtol, rtol=1e-12, maxiter=200)
+                assert brentq(f, a, b, xtol=xtol, rtol=1e-12, maxiter=200) == expected

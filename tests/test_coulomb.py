@@ -2,7 +2,9 @@ import math
 
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
 
+from radialspec import coulomb
 from radialspec.core import (
     ExtensionParam,
     ProblemSpec,
@@ -305,6 +307,20 @@ def test_family_weight_matches_numeric_root_slope():
     assert abs(w0 - 2.0 / (math.cos(zeta) ** 2 * fp)) < 1e-6 * w0
 
 
+def test_family_levels_bit_identical_with_scipy_brentq(monkeypatch):
+    specs = [
+        _m1_spec(-1.0, 0.4),
+        _m1_spec(-0.3, -1.2, k0=2.0),
+        _m1_spec(0.8, -1.2),
+        _m0_spec(-1.0, 0.4),
+        _m0_spec(-2.5, -0.7, k0=0.5),
+        _m0_spec(0.8, 1.2),
+    ]
+    ours = [coul_spectrum(spec, levels=10).discrete for spec in specs]
+    monkeypatch.setattr(coulomb, "brentq", scipy_brentq)
+    assert [coul_spectrum(spec, levels=10).discrete for spec in specs] == ours
+
+
 # ---------------------------------------------------------------- densities
 
 
@@ -325,6 +341,21 @@ def test_density_matches_resolvent_imag():
         extr = 2.0 * f2 - f1
         assert abs(extr - dens) < 1e-5 * max(1.0, dens)
         assert coul_density(spec, -1.0) == 0.0
+
+
+def test_density_solves_no_atom(monkeypatch):
+    # g > 0 below the critical angle: one negative atom, which reading the
+    # continuum must not root-solve for
+    spec = _m1_spec(0.8, -1.2)
+    assert len(coul_spectrum(spec, levels=0).discrete) == 1
+    expected = coul_spectrum(spec).density_at(0.3)
+
+    def no_root(*args, **kwargs):
+        raise AssertionError("a continuum read solved for an atom")
+
+    monkeypatch.setattr(coulomb, "brentq", no_root)
+    assert coul_density(spec, 0.3) == expected
+    assert coul_eigenfunction(spec, 0.3).norm_constant == math.sqrt(expected)
 
 
 def test_density_repulsive_barrier_suppression():

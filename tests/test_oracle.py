@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from radialspec.core import (
@@ -10,6 +11,7 @@ from radialspec.core import (
 )
 from radialspec.oracle import (
     GridResolutionWarning,
+    _potential,
     GridSpec,
     compare_spectra,
     fd_eigenvalues,
@@ -97,6 +99,22 @@ def test_fd_log_mixed_family_cell():
     with pytest.warns(GridResolutionWarning):
         vals = fd_eigenvalues(spec, GridSpec(1e-2, 9.0, 4000), 1)
     assert abs(vals[0] - closed) < 5e-2 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec(Theory.OSCILLATOR, 1, 1.3),
+        ProblemSpec(Theory.OSCILLATOR, 0, -0.7, 1.0, ExtensionParam(0.7)),
+        ProblemSpec(Theory.COULOMB, 2, -1.0),
+        ProblemSpec(Theory.COULOMB, 1, 0.6, 1.0, ExtensionParam(-0.4)),
+    ],
+)
+def test_potential_on_an_array_matches_pointwise(spec):
+    # the FD matrix applies the potential to the whole grid at once
+    nodes = np.linspace(1e-3, 15.0, 40000)
+    vpot = _potential(spec)
+    assert np.array_equal(vpot(nodes), np.array([vpot(u) for u in nodes]))
 
 
 # ---------------------------------------------------------------- shooting

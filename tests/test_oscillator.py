@@ -3,7 +3,9 @@ import math
 
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
 
+from radialspec import oscillator
 from radialspec.core import (
     ExtensionParam,
     ProblemSpec,
@@ -190,6 +192,16 @@ def test_m0_family_roots_solve_root_equation():
         assert prev < e < sq * (1 + 2 * k)
         prev = sq * (1 + 2 * k)
         assert w > 0
+
+
+def test_m0_family_levels_bit_identical_with_scipy_brentq(monkeypatch):
+    specs = [
+        ProblemSpec(Theory.OSCILLATOR, 0, lam, k0, ExtensionParam(zeta))
+        for lam, k0, zeta in ((1.0, 1.0, 0.3), (0.2, 2.0, -1.3), (4.0, 0.5, 1.2))
+    ]
+    ours = [osc_spectrum(spec, levels=10).discrete for spec in specs]
+    monkeypatch.setattr(oscillator, "brentq", scipy_brentq)
+    assert [osc_spectrum(spec, levels=10).discrete for spec in specs] == ours
 
 
 def test_m0_family_weight_matches_numeric_root_slope():
