@@ -24,7 +24,7 @@ from .core import (
     ValidationError,
     classify,
 )
-from .coulomb import _coul_continuum, coul_spectrum
+from .coulomb import _coul_continuum, coul_eigenfunction, coul_spectrum
 from .duality import (
     verify_coefficient_identities,
     verify_solution_identity,
@@ -36,6 +36,12 @@ from .oscillator import _osc_continuum, osc_eigenfunction, osc_spectrum
 SCHEMA_VERSION = "1"
 
 _THEORIES = {"osc": Theory.OSCILLATOR, "coul": Theory.COULOMB}
+
+# per theory: (spectrum, continuum, eigenfunction)
+_CLOSED_FORMS = {
+    Theory.OSCILLATOR: (osc_spectrum, _osc_continuum, osc_eigenfunction),
+    Theory.COULOMB: (coul_spectrum, _coul_continuum, coul_eigenfunction),
+}
 
 
 def _fmt(x: float) -> str:
@@ -72,15 +78,12 @@ def _emit(out, lines) -> None:
 
 
 def _get_spectrum(spec: ProblemSpec, levels: int):
-    if spec.theory is Theory.OSCILLATOR:
-        return osc_spectrum(spec, levels=levels)
-    return coul_spectrum(spec, levels=levels)
+    return _CLOSED_FORMS[spec.theory][0](spec, levels=levels)
 
 
 def _get_continuum(spec: ProblemSpec) -> SpectralMeasure:
     """The continuous part of the measure alone: no atom is solved for."""
-    continuum = _osc_continuum if spec.theory is Theory.OSCILLATOR else _coul_continuum
-    return SpectralMeasure((), *continuum(spec, classify(spec)))
+    return SpectralMeasure((), *_CLOSED_FORMS[spec.theory][1](spec, classify(spec)))
 
 
 def _cmd_spectrum(args, out) -> int:
@@ -146,12 +149,7 @@ def _cmd_wavefunction(args, out) -> int:
     if (args.level is None) == (args.energy is None):
         raise ValidationError("give exactly one of --level / --energy")
     which = args.level if args.level is not None else args.energy
-    if spec.theory is Theory.OSCILLATOR:
-        wave = osc_eigenfunction(spec, which)
-    else:
-        from .coulomb import coul_eigenfunction
-
-        wave = coul_eigenfunction(spec, which)
+    wave = _CLOSED_FORMS[spec.theory][2](spec, which)
     if args.samples < 2 or not (0 < args.umin < args.umax):
         raise ValidationError("need 0 < umin < umax and samples >= 2")
     step = (args.umax - args.umin) / (args.samples - 1)

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from . import _confluent as cf
 from . import specfun as sf
 from .core import (
     ComplexEnergy,
@@ -23,7 +24,6 @@ from .core import (
     Theory,
     ValidationError,
     as_energy,
-    brentq,
     classify,
 )
 
@@ -76,7 +76,6 @@ def coul_solution(
     energy: ComplexEnergy | complex | float,
     g: float,
     kappa0: float = 1.0,
-    ctl: sf.SeriesControl = sf.DEFAULT_CONTROL,
 ) -> complex:
     """Evaluate a named solution C1 | C3 | C4 | C2_0 at radius x.
 
@@ -89,54 +88,30 @@ def coul_solution(
         raise ValidationError("C2_0 exists only for m = 0")
     if kind == "C4" and m == 0:
         raise ValidationError("C4 exists only for |m| >= 1")
-    return _coul_at(kind, coul_parameters(m, energy, g), kappa0, ctl)(x)
+    return _coul_at(kind, coul_parameters(m, energy, g), kappa0)(x)
 
 
-def _coul_at(kind: str, par: CoulCoefficients, kappa0: float, ctl=sf.DEFAULT_CONTROL):
+def _coul_at(kind: str, par: CoulCoefficients, kappa0: float):
     """x -> the named solution at the energy of `par`, whose constants are
     built once by the caller."""
     if kind in ("C4", "C2_0"):
-        pair = _coul_pair(par, kappa0, ctl)
+        pair = _coul_pair(par, kappa0)
         return lambda x: pair(x)[1]
     series = {"C1": sf.kummer_m, "C3": sf.tricomi_u}.get(kind)
     if series is None:
         raise ValidationError(f"unknown Coulomb solution kind {kind!r}")
-    power = 0.5 * par.beta
-
-    def solution(x: float) -> complex:
-        z = par.z(x)
-        return (kappa0 * x) ** power * cmath.exp(-0.5 * z) * series(par.alpha, par.beta, z, ctl)
-
-    return solution
+    return cf.series_solution(series, par.alpha, par.beta, par.z, 0.5 * par.beta, kappa0)
 
 
-def _coul_pair(par: CoulCoefficients, kappa0: float, ctl=sf.DEFAULT_CONTROL):
+def _coul_pair(par: CoulCoefficients, kappa0: float):
     """x -> (C1, C4) for |m| >= 1, or (C1, C2_0) for m = 0, from one series
     pass per point: C4's log companion (or C2_0's parameter derivative)
     carries C1's Phi along."""
     n = par.beta - 1
-    alpha = par.alpha
     if n == 0:
-
-        def pair0(x: float) -> tuple[complex, complex]:
-            z = par.z(x)
-            pre = (kappa0 * x) ** 0.5 * cmath.exp(-0.5 * z)
-            phi, dphi = sf.kummer_m_with_param_derivative(alpha, 1.0, z, 0.5, 1.0, ctl)
-            c1 = pre * phi
-            return c1, pre * dphi + 0.5 * c1 * math.log(kappa0 * x)
-
-        return pair0
+        return cf.m0_pair(par.alpha, par.z, 0.5, kappa0)
     rest = (2.0 * par.K / kappa0) ** n / (math.factorial(n - 1) * math.factorial(n))
-
-    def pair(x: float) -> tuple[complex, complex]:
-        z = par.z(x)
-        pre = cmath.exp(-0.5 * z)
-        phi, p, log_part = sf.kummer_log_channel(alpha, n, z, math.log(kappa0 * x), ctl)
-        high = (kappa0 * x) ** (0.5 * (1 + n))
-        c4 = pre * ((kappa0 * x) ** (0.5 * (1 - n)) * p - rest * high * log_part)
-        return high * pre * phi, c4
-
-    return pair
+    return cf.log_pair(par.alpha, n, par.z, 0.5 * (1 - n), 0.5 * (1 + n), 1.0, rest, kappa0)
 
 
 # --- coefficient and family functions -----------------------------------------
@@ -213,40 +188,20 @@ def coul_critical_zeta(m: int, g: float, kappa0: float = 1.0) -> float:
 # --- family root finding -------------------------------------------------------
 
 
-def _family_root(
-    m: int, g: float, kappa0: float, target: float, lo: float, hi: float, expand: bool = False
-) -> float:
-    """Root of the family function at `target` in [lo, hi]; with `expand`,
-    lo first doubles until the function changes sign there."""
-
-    def h(E: float) -> float:
-        return coul_family_function(m, E, g, kappa0).real - target
-
-    if expand:
-        for _ in range(300):
-            if h(lo) < 0:
-                break
-            lo *= 2.0
-        else:
-            raise ValidationError("failed to bracket the family level")
-    return brentq(h, lo, hi, xtol=5e-16, rtol=8.9e-16, maxiter=200)
-
-
-def _family_root_ladder(m: int, g: float, kappa0: float, target: float, n: int) -> float:
-    """n-th root for g < 0, bracketed in the pole ladder of the family function."""
+def _family_root_ladder(h, m: int, g: float, n: int) -> float:
+    """n-th root of h for g < 0, bracketed in the pole ladder of the family function."""
 
     def pole(k: int) -> float:
-        if abs(m) == 1:
-            return -g * g / (4.0 * (1 + k) ** 2)
-        return -g * g / (1 + 2 * k) ** 2
+        return -g * g / (1 + abs(m) + 2 * k) ** 2
 
     hi = pole(n)
     hi -= 1e-6 * abs(hi)
-    if n == 0:  # no finite left pole
-        return _family_root(m, g, kappa0, target, 2.0 * pole(0), hi, expand=True)
+    if n == 0:  # no finite left pole: lo doubles until h changes sign
+        lo = 2.0 * pole(0)
+        return cf.family_root(h, lo, hi, 5e-16, span=-lo)
     lo = pole(n - 1)
     lo += 1e-6 * abs(lo)
-    return _family_root(m, g, kappa0, target, lo, hi)
+    return cf.family_root(h, lo, hi, 5e-16)
 
 
 def _f1_prime(E: float, g: float, kappa0: float) -> float:
@@ -370,13 +325,16 @@ def _coul_levels(spec: ProblemSpec, cell: RegimeClass):
     # levels solve f_1(E) = tan(zeta), respectively f_0(E) = -tan(zeta)
     m, target = (1, t) if m1 else (0, -t)
 
+    def h(E: float) -> float:
+        return coul_family_function(m, E, g, k0).real - target
+
     def weighted(e: float) -> tuple[float, float]:
         if m1:
             return e, 1.0 / (k0 * cos2 * _f1_prime(e, g, k0))
         return e, 2.0 / (k0 * cos2 * _f0_prime(e, g, k0))
 
     if g < 0:
-        return None, lambda n: weighted(_family_root_ladder(m, g, k0, target, n))
+        return None, lambda n: weighted(_family_root_ladder(h, m, g, n))
     if g == 0.0 and m1:
         return (0, None) if spec.zeta >= 0 else (1, lambda n: weighted(-(k0 * t) ** 2))
     if g == 0.0:
@@ -392,7 +350,7 @@ def _coul_levels(spec: ProblemSpec, cell: RegimeClass):
         return 0, None
     # the single negative root: the family function is pole-free for g > 0
     lo = -1e4 * max(abs(g), k0) ** 2
-    return 1, lambda n: weighted(_family_root(m, g, k0, target, lo, -1e-12, expand=True))
+    return 1, lambda n: weighted(cf.family_root(h, lo, -1e-12, 5e-16, span=-lo))
 
 
 def _coul_continuum(spec: ProblemSpec, cell: RegimeClass):
@@ -410,13 +368,7 @@ def _coul_continuum(spec: ProblemSpec, cell: RegimeClass):
 def coul_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
     """Full spectral measure for a Coulomb cell: R+ continuum plus the
     cell's negative atoms per the case tables."""
-    cell = classify(spec)
-    density, support = _coul_continuum(spec, cell)
-    count, atom = _coul_levels(spec, cell)
-    # tuple() of a list, not of a generator: the generator form leaves tuples
-    # of its intermediate sizes in CPython's free lists and raises peak memory
-    atoms = tuple([atom(k) for k in range(levels if count is None else count)])
-    return SpectralMeasure(atoms, density, support)
+    return cf.measure(_coul_levels, _coul_continuum, spec, levels)
 
 
 def coul_density(spec: ProblemSpec, E: float) -> float:
@@ -479,79 +431,33 @@ def coul_green(
         )
     om = coul_spectral_omega(spec, e)
     pair = _coul_pair(coul_parameters(spec.m, e, g), k0)
-    c, s = math.cos(spec.zeta), math.sin(spec.zeta)
-    # u_zeta = sin C1 + cos C and u~_zeta = cos C1 - sin C, C = C4 or C2_0
-    (h1, h2), (l1, l2) = pair(hi), pair(lo)
-    u_hi, u_lo = h1 * s + h2 * c, l1 * s + l2 * c
-    cross = (h1 * c - h2 * s) * u_lo
-    if cell is RegimeClass.COUL_M1_FAMILY:
-        # om is -Omega_{1,zeta}/kappa0 already
-        return om * (u_hi * u_lo) - (1.0 / k0) * cross
-    return om * (u_hi * u_lo) + (2.0 / k0) * cross
+    # the pair is (C1, C4) or (C1, C2_0); at m = +-1 om is -Omega_{1,zeta}/kappa0
+    weight = -1.0 / k0 if cell is RegimeClass.COUL_M1_FAMILY else 2.0 / k0
+    return cf.family_green(pair, om, spec.zeta, weight, hi, lo)
 
 
 # --- eigenfunctions -------------------------------------------------------------
 
 
-def _family_wave(spec: ProblemSpec, par: CoulCoefficients, amp: float, bound: bool):
-    """Family wave for |zeta| < pi/2.
-
-    For a bound state, beyond x_switch the sin/cos combination of the two
-    regular solutions cancels catastrophically, so continue with the
-    decaying solution C3 scaled to match at the switch point."""
-    pair = _coul_pair(par, spec.kappa0)
-    c, s = math.cos(spec.zeta), math.sin(spec.zeta)
-
-    def direct(x: float) -> complex:
-        c1, c2 = pair(x)
-        return c1 * s + c2 * c
-
-    if not bound:
-        return lambda x: (amp * direct(x)).real
-    x_switch = 4.0 / par.K.real  # K = sqrt(-E) > 0 at a bound energy
-    c3 = _coul_at("C3", par, spec.kappa0)
-    ratio = direct(x_switch) / c3(x_switch)
-
-    def ev(x: float) -> float:
-        if x < x_switch:
-            return (amp * direct(x)).real
-        return (amp * ratio * c3(x)).real
-
-    return ev
-
-
 def coul_eigenfunction(spec: ProblemSpec, index_or_energy: int | float) -> RadialWave:
     """Normalized eigenfunction (int index -> discrete level, float -> energy)."""
     cell = classify(spec)
-    discrete = isinstance(index_or_energy, int) and not isinstance(index_or_energy, bool)
-    if discrete:
-        idx = index_or_energy
-        if idx < 0:
-            raise ValidationError("level index must be >= 0")
-        count, atom = _coul_levels(spec, cell)
-        if count is not None and idx >= count:
-            raise ValidationError(f"cell has no discrete level with index {idx}")
-        energy, weight = atom(idx)
-        if energy == 0.0:
-            raise ValidationError(
-                "the zero-energy atom has no closed-form eigenfunction here"
-            )
-        amp = math.sqrt(weight)
-    else:
-        energy = float(index_or_energy)
-        dens = SpectralMeasure((), *_coul_continuum(spec, cell)).density_at(energy)
-        if dens <= 0:
-            raise ValidationError(f"E={energy} is not in the continuous spectrum")
-        amp = math.sqrt(dens)
+    energy, amp, bound = cf.eigen_amplitude(
+        _coul_levels, _coul_continuum, spec, cell, index_or_energy
+    )
+    if energy == 0.0:
+        raise ValidationError("the zero-energy atom has no closed-form eigenfunction here")
     par = coul_parameters(spec.m, energy, spec.coupling)
     if cell is RegimeClass.COUL_UNIQUE or spec.extension.is_half_pi:
         c1 = _coul_at("C1", par, spec.kappa0)
         ev = lambda x: (amp * c1(x)).real
         tag = f"x^({1 + abs(spec.m)}/2)"
-    elif cell is RegimeClass.COUL_M1_FAMILY:
-        ev = _family_wave(spec, par, amp, bound=discrete)
-        tag = "x sin z + cos z (1 + g x ln(k0 x) + ...)"
     else:
-        ev = _family_wave(spec, par, amp, bound=discrete)
-        tag = "x^(1/2)*(sin z + (cos z / 2) ln(k0 x))"
+        # a bound wave continues with C3 past x = 4/K, where K = sqrt(-E) > 0
+        tail = (_coul_at("C3", par, spec.kappa0), 4.0 / par.K.real) if bound else ()
+        ev = cf.family_wave(_coul_pair(par, spec.kappa0), spec.zeta, amp, *tail)
+        if cell is RegimeClass.COUL_M1_FAMILY:
+            tag = "x sin z + cos z (1 + g x ln(k0 x) + ...)"
+        else:
+            tag = "x^(1/2)*(sin z + (cos z / 2) ln(k0 x))"
     return RadialWave(ev, amp, tag, energy)

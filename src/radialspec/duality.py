@@ -24,6 +24,7 @@ from .coulomb import (
     _omega_unique,
     coul_coefficients,
     coul_family_function,
+    coul_parameters,
     coul_solution,
     coul_spectrum,
 )
@@ -143,7 +144,6 @@ def verify_coefficient_identities(
         return out
     max_dev = {"omega": 0.0, "B": 0.0, "Omega": 0.0}
     used = 0
-    n = abs(m)
     for i, (energy, g) in enumerate(samples):
         _, w, lam = coulomb_to_oscillator(1.0, energy, g, kappa0)
         try:
@@ -156,7 +156,7 @@ def verify_coefficient_identities(
             continue
         # exclude alpha within pole_radius of a nonpositive integer: both sides
         # blow up identically and relative comparison loses all digits
-        alpha = 0.5 * (1 + n) + g / (2.0 * as_energy(energy).sqrt_minus())
+        alpha = coul_parameters(m, energy, g).alpha
         near = round(alpha.real)
         if near <= 0 and abs(alpha - near) < pole_radius:
             excluded.append(i)

@@ -87,18 +87,11 @@ def _potential(spec: ProblemSpec):
 
 def _psi_as(spec: ProblemSpec):
     """Small-radius asymptote selecting the self-adjoint extension."""
+    p = _power_channel(spec)
+    if p is not None:
+        return lambda u: u**p
     cell = classify(spec)
     k0 = spec.kappa0
-    if cell in (
-        RegimeClass.OSC_M_POS_LAMBDA_POS,
-        RegimeClass.OSC_M_POS_LAMBDA_NEG,
-        RegimeClass.OSC_M_POS_LAMBDA_ZERO,
-    ):
-        p = 0.5 + abs(spec.m)
-        return lambda u: u**p
-    if cell is RegimeClass.COUL_UNIQUE:
-        p = 0.5 * (1 + abs(spec.m))
-        return lambda x: x**p
     zeta = spec.zeta
     s, c = math.sin(zeta), math.cos(zeta)
     if spec.theory is Theory.OSCILLATOR:
@@ -115,20 +108,12 @@ def _power_channel(spec: ProblemSpec) -> float | None:
     """Exponent p when the boundary channel is the pure power u^p (unique
     cells and the zeta = pi/2 member of each family); None for log-mixed
     boundary conditions."""
-    cell = classify(spec)
-    if cell in (
-        RegimeClass.OSC_M_POS_LAMBDA_POS,
-        RegimeClass.OSC_M_POS_LAMBDA_NEG,
-        RegimeClass.OSC_M_POS_LAMBDA_ZERO,
-    ):
+    classify(spec)  # enforces the extension rules
+    if spec.extension is not None and not spec.extension.is_half_pi:
+        return None
+    if spec.theory is Theory.OSCILLATOR:
         return 0.5 + abs(spec.m)
-    if cell is RegimeClass.COUL_UNIQUE:
-        return 0.5 * (1 + abs(spec.m))
-    if spec.extension is not None and spec.extension.is_half_pi:
-        if spec.theory is Theory.OSCILLATOR:
-            return 0.5
-        return 0.5 * (1 + abs(spec.m))
-    return None
+    return 0.5 * (1 + abs(spec.m))
 
 
 def _fd_solve(spec: ProblemSpec, nodes: np.ndarray, count: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from . import _confluent as cf
 from . import specfun as sf
 from .core import (
     ComplexEnergy,
@@ -23,7 +24,6 @@ from .core import (
     Theory,
     ValidationError,
     as_energy,
-    brentq,
     classify,
 )
 
@@ -83,7 +83,6 @@ def osc_solution(
     W: ComplexEnergy | complex | float,
     lam: float,
     kappa0: float = 1.0,
-    ctl: sf.SeriesControl = sf.DEFAULT_CONTROL,
 ) -> complex:
     """Evaluate a named solution O1 | O3 | O4 | O2_0 at radius u.
 
@@ -96,33 +95,30 @@ def osc_solution(
         raise ValidationError("O2_0 exists only for m = 0")
     if kind == "O4" and m == 0:
         raise ValidationError("O4 exists only for |m| >= 1")
-    return _osc_at(kind, m, as_energy(W), lam, kappa0, ctl)(u)
+    return _osc_at(kind, m, as_energy(W), lam, kappa0)(u)
 
 
-def _osc_at(kind: str, m: int, e: ComplexEnergy, lam: float, kappa0: float, ctl=sf.DEFAULT_CONTROL):
+def _osc_at(kind: str, m: int, e: ComplexEnergy, lam: float, kappa0: float):
     """u -> the named solution at energy e, with the energy's constants built
     once."""
     if kind == "O2_0":
-        pair = _osc_pair(e, lam, kappa0, ctl)
+        pair = _osc_pair(e, lam, kappa0)
         return lambda u: pair(u)[1]
     if lam == 0:
-        return lambda u: _osc_solution_free(kind, m, u, e, kappa0, ctl)
+        return lambda u: _osc_solution_free(kind, m, u, e, kappa0)
     par = osc_parameters(m, e.value, lam)
+    n = abs(m)
     if kind == "O4":
-        return lambda u: _osc_o4(par, u, kappa0, ctl)
+        rest = (par.varkappa / kappa0) ** (2 * n) / (math.factorial(n - 1) * math.factorial(n))
+        pair = cf.log_pair(par.alpha, n, par.rho, 0.5 - n, 0.5 + n, 2.0, rest, kappa0)
+        return lambda u: pair(u)[1]
     series = {"O1": sf.kummer_m, "O3": sf.tricomi_u}.get(kind)
     if series is None:
         raise ValidationError(f"unknown oscillator solution kind {kind!r}")
-    power = 0.5 + abs(m)
-
-    def solution(u: float) -> complex:
-        rho = par.rho(u)
-        return (kappa0 * u) ** power * cmath.exp(-0.5 * rho) * series(par.alpha, par.beta, rho, ctl)
-
-    return solution
+    return cf.series_solution(series, par.alpha, par.beta, par.rho, 0.5 + n, kappa0)
 
 
-def _osc_pair(e: ComplexEnergy, lam: float, kappa0: float, ctl=sf.DEFAULT_CONTROL):
+def _osc_pair(e: ComplexEnergy, lam: float, kappa0: float):
     """u -> (O1, O2_0) for m = 0 from one series pass per point (one J0/H1
     pair at lambda = 0): O2_0's parameter derivative carries O1's Phi along."""
     if lam == 0:
@@ -132,34 +128,16 @@ def _osc_pair(e: ComplexEnergy, lam: float, kappa0: float, ctl=sf.DEFAULT_CONTRO
 
         def free_pair(u: float) -> tuple[complex, complex]:
             root = (kappa0 * u) ** 0.5
-            o1 = root * sf.bessel("J", 0, K * u, ctl)
-            return o1, -0.5j * math.pi * root * sf.bessel("H1", 0, K * u, ctl) + om00 * o1
+            o1 = root * sf.bessel("J", 0, K * u)
+            return o1, -0.5j * math.pi * root * sf.bessel("H1", 0, K * u) + om00 * o1
 
         return free_pair
     par = osc_parameters(0, e.value, lam)
-
-    def pair(u: float) -> tuple[complex, complex]:
-        rho = par.rho(u)
-        pre = (kappa0 * u) ** 0.5 * cmath.exp(-0.5 * rho)
-        phi, dphi = sf.kummer_m_with_param_derivative(par.alpha, 1.0, rho, 0.5, 1.0, ctl)
-        o1 = pre * phi
-        return o1, pre * dphi + o1 * math.log(kappa0 * u)
-
-    return pair
-
-
-def _osc_o4(par: OscCoefficients, u: float, kappa0: float, ctl: sf.SeriesControl) -> complex:
-    n = par.beta - 1
-    rho = par.rho(u)
-    rest = (par.varkappa / kappa0) ** (2 * n) / (math.factorial(n - 1) * math.factorial(n))
-    _, p, log_part = sf.kummer_log_channel(par.alpha, n, rho, 2.0 * math.log(kappa0 * u), ctl)
-    return cmath.exp(-0.5 * rho) * (
-        (kappa0 * u) ** (0.5 - n) * p - rest * (kappa0 * u) ** (0.5 + n) * log_part
-    )
+    return cf.m0_pair(par.alpha, par.rho, 1.0, kappa0)
 
 
 def _osc_solution_free(
-    kind: str, m: int, u: float, W: ComplexEnergy, kappa0: float, ctl: sf.SeriesControl
+    kind: str, m: int, u: float, W: ComplexEnergy, kappa0: float
 ) -> complex:
     if W.value == 0:
         raise ValidationError("lambda = 0 Bessel solutions need W != 0")
@@ -168,20 +146,20 @@ def _osc_solution_free(
     if n == 0:
         root = (kappa0 * u) ** 0.5
         if kind == "O1":
-            return root * sf.bessel("J", 0, K * u, ctl)
+            return root * sf.bessel("J", 0, K * u)
         if kind == "O3":
-            return -0.5j * math.pi * root * sf.bessel("H1", 0, K * u, ctl)
+            return -0.5j * math.pi * root * sf.bessel("H1", 0, K * u)
         raise ValidationError(f"unknown m=0 solution kind {kind!r}")
     d1 = kappa0**0.5 * math.factorial(n) * (K / (2 * kappa0)) ** (-n)
     d3 = math.pi * kappa0**0.5 * (K / (2 * kappa0)) ** n / math.factorial(n - 1)
     if kind == "O1":
-        return d1 * u**0.5 * sf.bessel("J", n, K * u, ctl)
+        return d1 * u**0.5 * sf.bessel("J", n, K * u)
     if kind == "O3":
-        return 1j * d3 * u**0.5 * sf.bessel("H1", n, K * u, ctl)
+        return 1j * d3 * u**0.5 * sf.bessel("H1", n, K * u)
     if kind == "O4":
         return d3 * u**0.5 * (
-            sf.bessel("Y", n, K * u, ctl)
-            - (2.0 / math.pi) * sf.bessel("J", n, K * u, ctl) * cmath.log(K / kappa0)
+            sf.bessel("Y", n, K * u)
+            - (2.0 / math.pi) * sf.bessel("J", n, K * u) * cmath.log(K / kappa0)
         )
     raise ValidationError(f"unknown oscillator solution kind {kind!r}")
 
@@ -261,19 +239,9 @@ def _osc_m0_root(lam: float, kappa0: float, zeta: float, n: int) -> float:
     db = 1e-6 * sq
     hi = sq * (1 + 2 * n) - db
     if n >= 1:
-        lo = sq * (1 + 2 * (n - 1)) + db
-    else:
-        # no finite left pole: expand downwards until f changes sign
-        lo = sq * (1 + 2 * n) - 2.0 * sq
-        span = 2.0 * sq
-        for _ in range(200):
-            if f(lo) < 0:
-                break
-            span *= 2.0
-            lo -= span
-        else:
-            raise ValidationError("failed to bracket the lowest family level")
-    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        return cf.family_root(f, sq * (1 + 2 * (n - 1)) + db, hi, 1e-14)
+    # no finite left pole: expand downwards from -sq until f changes sign
+    return cf.family_root(f, -sq, hi, 1e-14, span=4.0 * sq)
 
 
 def _density_m_neg(m: int, lam: float, kappa0: float):
@@ -390,13 +358,7 @@ def _osc_continuum(spec: ProblemSpec, cell: RegimeClass):
 
 def osc_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
     """Full spectral measure (atoms with weights Q_n^2 and/or density) for a cell."""
-    cell = classify(spec)
-    density, support = _osc_continuum(spec, cell)
-    count, atom = _osc_levels(spec, cell)
-    # tuple() of a list, not of a generator: the generator form leaves tuples
-    # of its intermediate sizes in CPython's free lists and raises peak memory
-    atoms = tuple([atom(k) for k in range(levels if count is None else count)])
-    return SpectralMeasure(atoms, density, support)
+    return cf.measure(_osc_levels, _osc_continuum, spec, levels)
 
 
 def osc_density(spec: ProblemSpec, E: float) -> float:
@@ -449,75 +411,30 @@ def osc_green(
             / omega
         )
     om = osc_spectral_omega(spec, e)
-    pair = _osc_pair(e, lam, k0)
-    c, s = math.cos(spec.zeta), math.sin(spec.zeta)
-    # u_zeta = sin O1 + cos O2_0 and u~_zeta = cos O1 - sin O2_0
-    (h1, h2), (l1, l2) = pair(hi), pair(lo)
-    u_hi, u_lo = h1 * s + h2 * c, l1 * s + l2 * c
-    return om * (u_hi * u_lo) + (1.0 / k0) * (h1 * c - h2 * s) * u_lo
+    return cf.family_green(_osc_pair(e, lam, k0), om, spec.zeta, 1.0 / k0, hi, lo)
 
 
 # --- eigenfunctions -------------------------------------------------------------
-
-
-def _m0_family_wave(spec: ProblemSpec, e: ComplexEnergy, amp: float, bound: bool):
-    """m = 0 wave for |zeta| < pi/2.
-
-    For a bound state, beyond u_switch the sin/cos combination of the two
-    regular solutions cancels catastrophically, so continue with the
-    decaying solution O3 scaled to match at the switch point."""
-    lam, k0 = spec.coupling, spec.kappa0
-    pair = _osc_pair(e, lam, k0)
-    c, s = math.cos(spec.zeta), math.sin(spec.zeta)
-
-    def direct(u: float) -> complex:
-        o1, o2 = pair(u)
-        return o1 * s + o2 * c
-
-    if not bound:
-        return lambda u: (amp * direct(u)).real
-    if lam > 0:
-        u_switch = math.sqrt(8.0) / lam**0.25
-    else:  # lam == 0 atom, energy < 0
-        u_switch = 4.0 / math.sqrt(-e.value.real)
-    o3 = _osc_at("O3", 0, e, lam, k0)
-    ratio = direct(u_switch) / o3(u_switch)
-
-    def ev(u: float) -> float:
-        if u < u_switch:
-            return (amp * direct(u)).real
-        return (amp * ratio * o3(u)).real
-
-    return ev
 
 
 def osc_eigenfunction(spec: ProblemSpec, index_or_energy: int | float) -> RadialWave:
     """Normalized eigenfunction (int index -> discrete level, float -> energy)."""
     cell = classify(spec)
     n = abs(spec.m)
-    discrete = isinstance(index_or_energy, int) and not isinstance(index_or_energy, bool)
-    if discrete:
-        idx = index_or_energy
-        if idx < 0:
-            raise ValidationError("level index must be >= 0")
-        count, atom = _osc_levels(spec, cell)
-        if count is not None and idx >= count:
-            raise ValidationError(f"cell has no discrete level with index {idx}")
-        energy, weight = atom(idx)
-        amp = math.sqrt(weight)
-    else:
-        energy = float(index_or_energy)
-        measure = SpectralMeasure((), *_osc_continuum(spec, cell))
-        dens = measure.density_at(energy)
-        if measure.support == "empty" or dens <= 0:
-            raise ValidationError(f"E={energy} is not in the continuous spectrum")
-        amp = math.sqrt(dens)
+    energy, amp, bound = cf.eigen_amplitude(
+        _osc_levels, _osc_continuum, spec, cell, index_or_energy
+    )
     e = as_energy(energy)
     if n >= 1 or spec.extension.is_half_pi:
         o1 = _osc_at("O1", spec.m, e, spec.coupling, spec.kappa0)
         ev = lambda u: (amp * o1(u)).real
         tag = f"u^({1 + 2 * n}/2)"
     else:
-        ev = _m0_family_wave(spec, e, amp, bound=discrete)
+        lam, k0 = spec.coupling, spec.kappa0
+        tail = ()
+        if bound:  # continue with O3 past u_switch; a lam = 0 atom has E < 0
+            u_switch = math.sqrt(8.0) / lam**0.25 if lam > 0 else 4.0 / math.sqrt(-e.value.real)
+            tail = (_osc_at("O3", 0, e, lam, k0), u_switch)
+        ev = cf.family_wave(_osc_pair(e, lam, k0), spec.zeta, amp, *tail)
         tag = "u^(1/2)*(sin z + cos z ln(k0 u))"
     return RadialWave(ev, amp, tag, energy)

@@ -4,7 +4,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
 
-from radialspec import coulomb
+from radialspec import _confluent
 from radialspec.core import (
     ExtensionParam,
     ProblemSpec,
@@ -317,8 +317,16 @@ def test_family_levels_bit_identical_with_scipy_brentq(monkeypatch):
         _m0_spec(0.8, 1.2),
     ]
     ours = [coul_spectrum(spec, levels=10).discrete for spec in specs]
-    monkeypatch.setattr(coulomb, "brentq", scipy_brentq)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scipy_brentq(*args, **kwargs)
+
+    monkeypatch.setattr(_confluent, "brentq", counted)
     assert [coul_spectrum(spec, levels=10).discrete for spec in specs] == ours
+    # the patched solver found every level: 10 per g < 0 ladder, 1 per g > 0 spec
+    assert len(calls) == 42
 
 
 # ---------------------------------------------------------------- densities
@@ -353,7 +361,7 @@ def test_density_solves_no_atom(monkeypatch):
     def no_root(*args, **kwargs):
         raise AssertionError("a continuum read solved for an atom")
 
-    monkeypatch.setattr(coulomb, "brentq", no_root)
+    monkeypatch.setattr(_confluent, "brentq", no_root)
     assert coul_density(spec, 0.3) == expected
     assert coul_eigenfunction(spec, 0.3).norm_constant == math.sqrt(expected)
 

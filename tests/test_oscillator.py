@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
 
-from radialspec import oscillator
+from radialspec import _confluent
 from radialspec.core import (
     ExtensionParam,
     ProblemSpec,
@@ -200,8 +200,15 @@ def test_m0_family_levels_bit_identical_with_scipy_brentq(monkeypatch):
         for lam, k0, zeta in ((1.0, 1.0, 0.3), (0.2, 2.0, -1.3), (4.0, 0.5, 1.2))
     ]
     ours = [osc_spectrum(spec, levels=10).discrete for spec in specs]
-    monkeypatch.setattr(oscillator, "brentq", scipy_brentq)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scipy_brentq(*args, **kwargs)
+
+    monkeypatch.setattr(_confluent, "brentq", counted)
     assert [osc_spectrum(spec, levels=10).discrete for spec in specs] == ours
+    assert len(calls) == 30  # the patched solver found every level
 
 
 def test_m0_family_weight_matches_numeric_root_slope():
