@@ -112,10 +112,16 @@ def rgamma(z: complex) -> complex:
 
 
 def digamma(z: complex) -> complex:
+    """psi(z).  On the positive real axis SciPy's real digamma is used: its
+    complex one is up to ~20 ulp off there.  For x <= 0 the complex path is
+    kept, as the real one's reflection is worse."""
     p = _nonpositive_int(z)
     if p is not None:
         raise PoleError(p, "digamma")
-    return complex(_sp.digamma(complex(z)))
+    z = complex(z)
+    if z.imag == 0 and z.real > 0:
+        return complex(_sp.digamma(z.real))
+    return complex(_sp.digamma(z))
 
 
 def trigamma(x: float) -> float:

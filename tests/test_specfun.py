@@ -2,12 +2,15 @@
 
 import cmath
 import math
+import random
 
+import mpmath as mp
 import pytest
 
 from radialspec.specfun import (
     AccuracyError,
     DEFAULT_CONTROL,
+    EULER_GAMMA,
     PoleError,
     SeriesControl,
     bessel,
@@ -77,6 +80,20 @@ def test_rgamma_is_zero_at_poles_and_reciprocal_elsewhere():
 def test_digamma_known_values():
     assert abs(digamma(1.0) - (-EULER)) < 1e-12
     assert abs(digamma(2.0) - (1.0 - EULER)) < 1e-12
+
+
+def test_digamma_positive_real_axis_against_mpmath():
+    # 2 ulp, with an ulp taken as 2^-52 |psi(x)|; SciPy's complex digamma is
+    # about 20 ulp off on this axis
+    assert digamma(1.0) == -EULER_GAMMA
+    assert digamma(1.0).imag == 0.0
+    rng = random.Random(2011)
+    with mp.workdps(40):
+        for _ in range(2000):
+            x = rng.uniform(0.01, 40.0)
+            ref = mp.digamma(x)
+            err = abs(mp.mpf(digamma(x).real) - ref)
+            assert err <= 2 * 2.0**-52 * abs(ref), x
 
 
 def test_digamma_recurrence(rng):
