@@ -81,11 +81,6 @@ def _get_spectrum(spec: ProblemSpec, levels: int):
     return _CLOSED_FORMS[spec.theory][0](spec, levels=levels)
 
 
-def _get_continuum(spec: ProblemSpec) -> SpectralMeasure:
-    """The continuous part of the measure alone: no atom is solved for."""
-    return SpectralMeasure((), *_CLOSED_FORMS[spec.theory][1](spec, classify(spec)))
-
-
 def _cmd_spectrum(args, out) -> int:
     spec = _build_spec(args)
     measure = _get_spectrum(spec, args.levels)
@@ -115,7 +110,8 @@ def _cmd_spectrum(args, out) -> int:
 
 def _cmd_density(args, out) -> int:
     spec = _build_spec(args)
-    measure = _get_continuum(spec)
+    # the continuous part of the measure alone: no atom is solved for
+    measure = SpectralMeasure((), *_CLOSED_FORMS[spec.theory][1](spec, classify(spec)))
     if args.samples < 2 or args.emax <= args.emin:
         raise ValidationError("need emin < emax and samples >= 2")
     step = (args.emax - args.emin) / (args.samples - 1)

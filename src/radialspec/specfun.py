@@ -112,9 +112,8 @@ def rgamma(z: complex) -> complex:
 
 
 def digamma(z: complex) -> complex:
-    """psi(z).  On the positive real axis SciPy's real digamma is used: its
-    complex one is up to ~20 ulp off there.  For x <= 0 the complex path is
-    kept, as the real one's reflection is worse."""
+    """psi(z); SciPy's real digamma on x > 0, where its complex one is ~20 ulp
+    off, and the complex one elsewhere (the real reflection is worse)."""
     p = _nonpositive_int(z)
     if p is not None:
         raise PoleError(p, "digamma")
