@@ -113,7 +113,13 @@ def family_wave(pair, zeta: float, amp: float, decaying=None, switch: float = 0.
 
     if decaying is None:
         return lambda r: (amp * direct(r)).real
-    ratio = direct(switch) / decaying(switch)
+    tail = decaying(switch)
+    if tail == 0:  # a deep level's decaying solution underflows at the switch
+        raise sf.AccuracyError(
+            math.inf, sf.SeriesControl().rel_tol,
+            f"bound wave at the switch radius r = {switch:.6g} (decaying solution 0 there)",
+        )
+    ratio = direct(switch) / tail
 
     def ev(r: float) -> float:
         if r < switch:

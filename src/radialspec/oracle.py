@@ -42,14 +42,6 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> np.ndarray:
     return eigh(d, e, **kwargs)
 
 
-def solve_ivp(fun, t_span, y0, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call, for the same
-    reason as eigh_tridiagonal."""
-    from scipy.integrate import solve_ivp as solve
-
-    return solve(fun, t_span, y0, **kwargs)
-
-
 class GridResolutionWarning(UserWarning):
     """The grid is too coarse for the requested accuracy."""
 
@@ -181,6 +173,50 @@ def fd_eigenvalues(spec: ProblemSpec, grid: GridSpec, count: int) -> list[float]
     return [float(v) for v in vals]
 
 
+# Shooting integrates in six chunks, renormalising between them so that the
+# growing solution cannot overflow; a chunk may take at most _MAX_STEPS steps.
+_CHUNKS = 6
+_MAX_STEPS = 100_000
+
+
+def _propagator(vpot, a: float, b: float):
+    """(E, y0) -> (psi, psi')(b) / max|.| for -psi'' + vpot psi = E psi with
+    (psi, psi')(a) = y0, on SciPy's compiled Dormand-Prince 8(5,3) integrator
+    (scipy.integrate, imported on the first call like eigh_tridiagonal). One
+    integrator serves every energy. Its first step, 1/100 of a chunk, is set
+    and signed with the direction: with atol=1e-300 dop853's own first-step
+    guess fails on a start vector with a zero (or relatively tiny) component."""
+    from scipy.integrate import ode
+
+    def rhs(u, y, E):
+        return [y[1], (vpot(u) - E) * y[0]]
+
+    edges = np.linspace(a, b, _CHUNKS + 1)
+    solver = ode(rhs).set_integrator(
+        "dop853", rtol=1e-10, atol=1e-300, nsteps=_MAX_STEPS,
+        first_step=1e-2 * (b - a) / _CHUNKS,
+    )
+
+    def propagate(E: float, y0) -> np.ndarray:
+        y = np.array(y0, dtype=float)
+        solver.set_f_params(E)
+        for start, stop in zip(edges[:-1], edges[1:]):
+            solver.set_initial_value(y, start)
+            y = solver.integrate(stop)
+            if not solver.successful():
+                raise ValidationError(
+                    f"shooting integration failed at u = {solver.t:.6g}: "
+                    f"dop853 return code {solver.get_return_code()}"
+                )
+            norm = max(abs(y[0]), abs(y[1]))
+            if norm == 0:
+                raise ValidationError("shooting solution vanished identically")
+            y = y / norm  # positive rescaling keeps the Wronskian sign intact
+        return y
+
+    return propagate
+
+
 def shoot_eigenvalue(
     spec: ProblemSpec,
     bracket: tuple[float, float],
@@ -200,41 +236,20 @@ def shoot_eigenvalue(
         else:
             tau = math.sqrt(max(-hi, 1e-4))
             u_max = max(20.0, 30.0 / tau)
+    if not 0 < u_min < u_max:
+        raise ValidationError(f"need 0 < u_min < u_max, got {u_min!r} and {u_max!r}")
     u_mid = min(max(1.0, 20.0 * u_min), 0.4 * u_max)
 
-    def rhs(E):
-        def f(u, y):
-            return [y[1], (vpot(u) - E) * y[0]]
-
-        return f
-
-    def _propagate(E: float, a: float, b: float, y0, n_chunks: int = 6):
-        y = np.array(y0, dtype=float)
-        edges = np.linspace(a, b, n_chunks + 1)
-        for k in range(n_chunks):
-            sol = solve_ivp(
-                rhs(E),
-                (edges[k], edges[k + 1]),
-                y,
-                method="RK45",
-                rtol=1e-10,
-                atol=1e-300,
-            )
-            y = sol.y[:, -1]
-            norm = max(abs(y[0]), abs(y[1]))
-            if norm == 0:
-                raise ValidationError("shooting solution vanished identically")
-            y = y / norm  # positive rescaling keeps the Wronskian sign intact
-        return y
-
+    outward = _propagator(vpot, u_min, u_mid)
+    inward = _propagator(vpot, u_max, u_mid)
     d = 1e-6 * u_min
 
     def mismatch(E: float) -> float:
         psi0 = psi_as(u_min)
         dpsi0 = (psi_as(u_min + d) - psi_as(u_min - d)) / (2.0 * d)
-        out = _propagate(E, u_min, u_mid, [psi0, dpsi0])
+        out = outward(E, [psi0, dpsi0])
         kap = math.sqrt(max(vpot(u_max) - E, 1e-12))
-        inn = _propagate(E, u_max, u_mid, [1.0, -kap])
+        inn = inward(E, [1.0, -kap])
         wr = out[0] * inn[1] - out[1] * inn[0]
         return wr / math.sqrt(
             (out[0] ** 2 + out[1] ** 2) * (inn[0] ** 2 + inn[1] ** 2)

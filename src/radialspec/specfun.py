@@ -71,13 +71,14 @@ class PoleError(ArithmeticError):
 
 
 class AccuracyError(ArithmeticError):
-    """A series failed to reach the requested tolerance."""
+    """A series (or another evaluation, named by `what`) failed to reach the
+    requested tolerance."""
 
-    def __init__(self, achieved: float, requested: float):
+    def __init__(self, achieved: float, requested: float, what: str = "series"):
         self.achieved = achieved
         self.requested = requested
         super().__init__(
-            f"series reached relative accuracy {achieved:.3e}, requested {requested:.3e}"
+            f"{what} reached relative accuracy {achieved:.3e}, requested {requested:.3e}"
         )
 
 

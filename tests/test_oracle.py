@@ -12,6 +12,7 @@ from radialspec.core import (
 from radialspec.oracle import (
     GridResolutionWarning,
     _potential,
+    _propagator,
     GridSpec,
     compare_spectra,
     fd_eigenvalues,
@@ -149,6 +150,63 @@ def test_shoot_coulomb_m1_family():
     closed = coul_spectrum(spec, levels=1).discrete[0][0]
     e = shoot_eigenvalue(spec, _bracket(closed))
     assert abs(e - closed) < 1e-3 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize(
+    "spec, closed, u_min",
+    [
+        (ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 4.0, 1e-6),
+        (ProblemSpec(Theory.COULOMB, 2, -1.0), -1.0 / 9.0, 1e-6),
+        # the boundary asymptote x^(1/2) omits the (1 + g x) Frobenius factor;
+        # at m = 0 that admixes the x^(1/2) ln x channel and costs ~4 u_min
+        # relative, so the start moves in far enough to bound the integrator
+        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), -1.0, 1e-10),
+    ],
+)
+def test_shoot_pure_power_matches_closed_form(spec, closed, u_min):
+    e = shoot_eigenvalue(spec, _bracket(closed), u_min=u_min)
+    assert abs(e - closed) < 1e-9 * abs(closed)
+
+
+@pytest.mark.parametrize(
+    "a, b, y0",
+    [(0.5, 3.0, [0.0, 1.0]), (6.0, 2.0, [1.0, 0.0])],
+    ids=["outward", "inward"],
+)
+def test_propagator_starts_from_an_exact_zero_component(a, b, y0):
+    from scipy.integrate import solve_ivp
+
+    vpot = _potential(ProblemSpec(Theory.OSCILLATOR, 1, 1.0))
+    E = 5.0
+    ref = solve_ivp(
+        lambda u, y: [y[1], (vpot(u) - E) * y[0]],
+        (a, b), y0, method="DOP853", rtol=1e-12, atol=1e-14,
+    ).y[:, -1]
+    ref = ref / np.max(np.abs(ref))
+    got = _propagator(vpot, a, b)(E, y0)
+    assert np.max(np.abs(got - ref)) < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # SciPy's own dop853 warning
+def test_shoot_failed_integration_raises(monkeypatch):
+    # the outward chunk off the singular edge takes ~76 steps, every later
+    # chunk (either direction) at most ~15: only the first one hits this cap,
+    # so a failure is caught chunk by chunk, not just at the end
+    monkeypatch.setattr("radialspec.oracle._MAX_STEPS", 30)
+    spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
+    with pytest.raises(ValidationError, match="return code -2"):
+        shoot_eigenvalue(spec, _bracket(4.0))
+
+
+@pytest.mark.parametrize(
+    "u_min, u_max",
+    [(0.0, None), (-1.0, None), (float("nan"), None), (7.0, 5.0), (100.0, None)],
+    ids=["zero", "negative", "nan", "above_u_max", "above_computed_u_max"],
+)
+def test_shoot_rejects_bad_radii(u_min, u_max):
+    spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
+    with pytest.raises(ValidationError, match="u_min < u_max"):
+        shoot_eigenvalue(spec, _bracket(4.0), u_min=u_min, u_max=u_max)
 
 
 def test_shoot_rejects_empty_bracket():

@@ -24,6 +24,7 @@ from radialspec.oscillator import (
     osc_spectral_omega,
     osc_spectrum,
 )
+from radialspec.specfun import AccuracyError
 
 EULER = 0.5772156649015329
 
@@ -355,3 +356,12 @@ def test_eigenfunction_validation():
     assert wave.norm_constant > 0
     with pytest.raises(ValidationError):
         wave(-1.0)
+
+
+def test_eigenfunction_deep_family_level_raises_accuracy_error():
+    # E_0 ~ -15100: O3 underflows to 0 at the fixed switch radius, so the
+    # bound wave cannot be matched there
+    spec = ProblemSpec(Theory.OSCILLATOR, 0, 2.969, 1.0, ExtensionParam(1.361))
+    assert osc_spectrum(spec, levels=1).discrete[0][0] < -15000
+    with pytest.raises(AccuracyError, match="decaying solution 0"):
+        osc_eigenfunction(spec, 0)
