@@ -14,13 +14,14 @@ from . import specfun as sf
 from .core import SpectralMeasure, ValidationError, brentq, classify
 
 
-def series_solution(series, alpha: complex, beta: int, z_of, power: float, kappa0: float):
+def series_solution(plan, alpha: complex, beta: int, z_of, power: float, kappa0: float):
     """r -> (kappa0 r)^power e^{-z/2} series(alpha, beta; z(r)): C1/C3 and
-    O1/O3 with series = kummer_m / tricomi_u."""
+    O1/O3, with `plan` specfun's Kummer or Tricomi plan, built once here."""
+    series = plan(alpha, beta)
 
     def solution(r: float) -> complex:
         z = z_of(r)
-        return (kappa0 * r) ** power * cmath.exp(-0.5 * z) * series(alpha, beta, z)
+        return (kappa0 * r) ** power * cmath.exp(-0.5 * z) * series(z)
 
     return solution
 
@@ -28,11 +29,12 @@ def series_solution(series, alpha: complex, beta: int, z_of, power: float, kappa
 def m0_pair(alpha: complex, z_of, log_weight: float, kappa0: float):
     """r -> (C1, C2_0) or (O1, O2_0) from one series pass: the parameter
     derivative carries Phi along; O2_0 adds ln(kappa0 r) O1, C2_0 half that."""
+    series = sf._DerivativePlan(alpha, 1.0, 0.5, 1.0)
 
     def pair(r: float) -> tuple[complex, complex]:
         z = z_of(r)
         pre = (kappa0 * r) ** 0.5 * cmath.exp(-0.5 * z)
-        phi, dphi = sf.kummer_m_with_param_derivative(alpha, 1.0, z, 0.5, 1.0)
+        phi, dphi = series(z)
         first = pre * phi
         return first, pre * dphi + first * (log_weight * math.log(kappa0 * r))
 
@@ -45,11 +47,12 @@ def log_pair(
     """r -> (C1, C4) or (O1, O4) at |m| = n >= 1 from one log-channel pass:
     e^{-z/2} ((kappa0 r)^high Phi, (kappa0 r)^low P - rest (kappa0 r)^high L),
     where L carries log_scale ln(kappa0 r)."""
+    channel = sf._LogChannelPlan(alpha, n)
 
     def pair(r: float) -> tuple[complex, complex]:
         z = z_of(r)
         pre = cmath.exp(-0.5 * z)
-        phi, p, log_part = sf.kummer_log_channel(alpha, n, z, log_scale * math.log(kappa0 * r))
+        phi, p, log_part = channel(z, log_scale * math.log(kappa0 * r))
         high_r = (kappa0 * r) ** high
         return high_r * pre * phi, pre * ((kappa0 * r) ** low * p - rest * high_r * log_part)
 

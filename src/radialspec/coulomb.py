@@ -97,7 +97,7 @@ def _coul_at(kind: str, par: CoulCoefficients, kappa0: float):
     if kind in ("C4", "C2_0"):
         pair = _coul_pair(par, kappa0)
         return lambda x: pair(x)[1]
-    series = {"C1": sf.kummer_m, "C3": sf.tricomi_u}.get(kind)
+    series = {"C1": sf._KummerPlan, "C3": sf._TricomiPlan}.get(kind)
     if series is None:
         raise ValidationError(f"unknown Coulomb solution kind {kind!r}")
     return cf.series_solution(series, par.alpha, par.beta, par.z, 0.5 * par.beta, kappa0)
@@ -124,10 +124,16 @@ def coul_coefficients(
 
     C3 = B_m C1 + C_m C4 pointwise; Wr(C1, C3) = -kappa0 |m| C_m = -omega.
     """
-    n = abs(m)
-    if n < 1:
+    if abs(m) < 1:
         raise ValidationError("coefficients defined for |m| >= 1")
-    par = coul_parameters(m, energy, g)
+    return _coul_coefficients(coul_parameters(m, energy, g), kappa0)
+
+
+def _coul_coefficients(
+    par: CoulCoefficients, kappa0: float
+) -> tuple[complex, complex, complex, complex]:
+    """coul_coefficients at the energy of `par`, |m| = par.beta - 1 >= 1."""
+    n = par.beta - 1
     if sf._nonpositive_int(par.alpha) is not None:
         raise sf.PoleError(int(round(par.alpha.real)), "Gamma(alpha)")
     if sf._nonpositive_int(par.alpha_minus) is not None:
@@ -423,12 +429,11 @@ def coul_green(
     g, k0 = spec.coupling, spec.kappa0
     hi, lo = max(x, y), min(x, y)
     if cell is RegimeClass.COUL_UNIQUE:
-        _, _, _, omega = coul_coefficients(spec.m, e, g, k0)
-        return (
-            coul_solution("C3", spec.m, hi, e, g, k0)
-            * coul_solution("C1", spec.m, lo, e, g, k0)
-            / omega
-        )
+        par = coul_parameters(spec.m, e, g)
+        _, _, _, omega = _coul_coefficients(par, k0)
+        if lo <= 0:
+            raise ValidationError("x must be positive")
+        return _coul_at("C3", par, k0)(hi) * _coul_at("C1", par, k0)(lo) / omega
     om = coul_spectral_omega(spec, e)
     pair = _coul_pair(coul_parameters(spec.m, e, g), k0)
     # the pair is (C1, C4) or (C1, C2_0); at m = +-1 om is -Omega_{1,zeta}/kappa0

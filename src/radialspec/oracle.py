@@ -78,21 +78,34 @@ def _potential(spec: ProblemSpec):
 
 
 def _psi_as(spec: ProblemSpec):
-    """Small-radius asymptote selecting the self-adjoint extension."""
+    """u -> (psi, psi') of the small-radius asymptote selecting the
+    self-adjoint extension, both in closed form."""
     p = _power_channel(spec)
     if p is not None:
-        return lambda u: u**p
+        if spec.theory is Theory.OSCILLATOR:
+            return lambda u: (u**p, p * u ** (p - 1.0))
+        # first Frobenius factor: x^p (1 + c1 x) with c1 = g / (2p) = g / (1 + |m|)
+        c1 = spec.coupling / (2.0 * p)
+        return lambda x: (
+            x**p * (1.0 + c1 * x), x ** (p - 1.0) * (p * (1.0 + c1 * x) + c1 * x)
+        )
     cell = classify(spec)
     k0 = spec.kappa0
     zeta = spec.zeta
     s, c = math.sin(zeta), math.cos(zeta)
-    if spec.theory is Theory.OSCILLATOR:
-        return lambda u: math.sqrt(k0 * u) * (s + c * math.log(k0 * u))
-    if cell is RegimeClass.COUL_M0_FAMILY:
-        return lambda x: math.sqrt(k0 * x) * (s + 0.5 * c * math.log(k0 * x))
+    if spec.theory is Theory.OSCILLATOR or cell is RegimeClass.COUL_M0_FAMILY:
+        # sqrt(k0 u) (s + w c ln(k0 u)), log weight w = 1 (oscillator) or 1/2
+        w = 1.0 if spec.theory is Theory.OSCILLATOR else 0.5
+
+        def root_log(u: float) -> tuple[float, float]:
+            root, bracket = math.sqrt(k0 * u), s + w * c * math.log(k0 * u)
+            return root * bracket, root * (0.5 * bracket + w * c) / u
+
+        return root_log
     g = spec.coupling
-    return lambda x: k0 * x * s + c * (
-        1.0 + g * x * (math.log(k0 * x) + 2.0 * sf.EULER_GAMMA - 1.0)
+    return lambda x: (
+        k0 * x * s + c * (1.0 + g * x * (math.log(k0 * x) + 2.0 * sf.EULER_GAMMA - 1.0)),
+        k0 * s + c * g * (math.log(k0 * x) + 2.0 * sf.EULER_GAMMA),
     )
 
 
@@ -138,7 +151,7 @@ def _fd_solve(spec: ProblemSpec, nodes: np.ndarray, count: int) -> np.ndarray:
     psi_as = _psi_as(spec)
     diag = 2.0 / h**2 + vpot(inner)
     # fold psi(u_0) = r psi(u_1) into the first retained row
-    r = psi_as(float(inner[0])) / psi_as(float(inner[1]))
+    r = psi_as(float(inner[0]))[0] / psi_as(float(inner[1]))[0]
     diag = diag[1:]
     diag[0] = (2.0 - r) / h**2 + vpot(float(inner[1]))
     off = np.full(len(diag) - 1, -1.0 / h**2)
@@ -242,12 +255,10 @@ def shoot_eigenvalue(
 
     outward = _propagator(vpot, u_min, u_mid)
     inward = _propagator(vpot, u_max, u_mid)
-    d = 1e-6 * u_min
+    start = psi_as(u_min)
 
     def mismatch(E: float) -> float:
-        psi0 = psi_as(u_min)
-        dpsi0 = (psi_as(u_min + d) - psi_as(u_min - d)) / (2.0 * d)
-        out = outward(E, [psi0, dpsi0])
+        out = outward(E, start)
         kap = math.sqrt(max(vpot(u_max) - E, 1e-12))
         inn = inward(E, [1.0, -kap])
         wr = out[0] * inn[1] - out[1] * inn[0]

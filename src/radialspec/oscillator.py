@@ -106,13 +106,18 @@ def _osc_at(kind: str, m: int, e: ComplexEnergy, lam: float, kappa0: float):
         return lambda u: pair(u)[1]
     if lam == 0:
         return lambda u: _osc_solution_free(kind, m, u, e, kappa0)
-    par = osc_parameters(m, e.value, lam)
-    n = abs(m)
+    return _osc_par_at(kind, osc_parameters(m, e.value, lam), kappa0)
+
+
+def _osc_par_at(kind: str, par: OscCoefficients, kappa0: float):
+    """u -> O1, O3 or O4 at the energy of `par` (lambda != 0), whose
+    constants are built once by the caller."""
+    n = par.beta - 1
     if kind == "O4":
         rest = (par.varkappa / kappa0) ** (2 * n) / (math.factorial(n - 1) * math.factorial(n))
         pair = cf.log_pair(par.alpha, n, par.rho, 0.5 - n, 0.5 + n, 2.0, rest, kappa0)
         return lambda u: pair(u)[1]
-    series = {"O1": sf.kummer_m, "O3": sf.tricomi_u}.get(kind)
+    series = {"O1": sf._KummerPlan, "O3": sf._TricomiPlan}.get(kind)
     if series is None:
         raise ValidationError(f"unknown oscillator solution kind {kind!r}")
     return cf.series_solution(series, par.alpha, par.beta, par.rho, 0.5 + n, kappa0)
@@ -174,10 +179,16 @@ def osc_coefficients(
 
     O3 = B_m O1 + C_m O4 pointwise; Wr(O1, O3) = -2 kappa0 |m| C_m = -omega.
     """
-    n = abs(m)
-    if n < 1 or lam == 0:
+    if abs(m) < 1 or lam == 0:
         raise ValidationError("coefficients defined for |m| >= 1, lambda != 0")
-    par = osc_parameters(m, as_energy(W).value, lam)
+    return _osc_coefficients(osc_parameters(m, as_energy(W).value, lam), kappa0)
+
+
+def _osc_coefficients(
+    par: OscCoefficients, kappa0: float
+) -> tuple[complex, complex, complex, complex]:
+    """osc_coefficients at the energy of `par`, |m| = par.beta - 1 >= 1."""
+    n = par.beta - 1
     if sf._nonpositive_int(par.alpha) is not None:
         raise sf.PoleError(int(round(par.alpha.real)), "Gamma(alpha)")
     if sf._nonpositive_int(par.alpha_minus) is not None:
@@ -403,13 +414,14 @@ def osc_green(
     if spec.m != 0:
         if cell is RegimeClass.OSC_M_POS_LAMBDA_ZERO:
             omega = 2.0 * k0 * abs(spec.m)
+            o3, o1 = _osc_at("O3", spec.m, e, lam, k0), _osc_at("O1", spec.m, e, lam, k0)
         else:
-            _, _, _, omega = osc_coefficients(spec.m, e, lam, k0)
-        return (
-            osc_solution("O3", spec.m, hi, e, lam, k0)
-            * osc_solution("O1", spec.m, lo, e, lam, k0)
-            / omega
-        )
+            par = osc_parameters(spec.m, e.value, lam)
+            _, _, _, omega = _osc_coefficients(par, k0)
+            o3, o1 = _osc_par_at("O3", par, k0), _osc_par_at("O1", par, k0)
+        if lo <= 0:
+            raise ValidationError("u must be positive")
+        return o3(hi) * o1(lo) / omega
     om = osc_spectral_omega(spec, e)
     return cf.family_green(_osc_pair(e, lam, k0), om, spec.zeta, 1.0 / k0, hi, lo)
 

@@ -1,50 +1,25 @@
 """The shared confluent layer: its place under both theories and the family
 root bracketing that both theories hand to it."""
 
-import ast
-from pathlib import Path
-
 import pytest
 
 import radialspec
 from radialspec import _confluent
 
-PACKAGE = Path(radialspec.__file__).parent
-
-
-def _package_imports(module: str) -> set[str]:
-    """Names of the radialspec modules that `module` imports."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.level == 0 and not (node.module or "").startswith("radialspec"):
-                continue
-            parts = (node.module or "").split(".")
-            parts = parts[1:] if node.level == 0 else parts
-            if parts and parts[0]:
-                out.add(parts[0])
-            else:  # from . import x
-                out.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                parts = alias.name.split(".")
-                if parts[0] == "radialspec" and len(parts) > 1:
-                    out.add(parts[1])
-    return out
+from package_imports import package_imports
 
 
 def test_import_reader_sees_relative_and_absolute_forms():
-    assert {"_confluent", "specfun", "core"} <= _package_imports("coulomb")
-    assert {"coulomb", "oscillator", "core"} <= _package_imports("duality")
+    assert {"_confluent", "specfun", "core"} <= package_imports("coulomb")
+    assert {"coulomb", "oscillator", "core"} <= package_imports("duality")
 
 
 def test_theories_are_independent_of_each_other():
     # neither closed form is computed by mapping through the other theory,
     # so the duality verifiers compare two independent parameter maps
-    assert "oscillator" not in _package_imports("coulomb")
-    assert "coulomb" not in _package_imports("oscillator")
-    assert not {"coulomb", "oscillator"} & _package_imports("_confluent")
+    assert "oscillator" not in package_imports("coulomb")
+    assert "coulomb" not in package_imports("oscillator")
+    assert not {"coulomb", "oscillator"} & package_imports("_confluent")
 
 
 @pytest.mark.parametrize(

@@ -103,7 +103,7 @@ def test_fused_kernel_against_separate_calls(a, b, z):
 def test_log_companion_s1_stands_in_for_kummer(a, b, z):
     n = int(b) - 1
     s1, _, _ = sf.kummer_log_companion(a, n, z)
-    assert sf._plain_series(complex(a), complex(z), sf.DEFAULT_CONTROL)
+    assert sf._KummerPlan(a, b).plain(complex(z))
     phi = sf.kummer_m(a, b, z)
     assert abs(s1 - phi) <= 1e-12 * abs(phi)
 
@@ -124,7 +124,7 @@ def test_fused_kernel_takes_phi_from_kummer_off_the_plain_series():
     # Re z < 0 (Kummer transformation), |z| past the switch radius
     # (asymptotic branch) and terminating a: Phi is kummer_m's value exactly
     for a, b, z in ((0.7 + 0.2j, 2.0, -3.0 + 1.0j), (0.6, 1.0, 35.0j), (-3.0, 2.0, 2.5)):
-        assert not sf._plain_series(complex(a), complex(z), sf.DEFAULT_CONTROL)
+        assert not sf._KummerPlan(a, b).plain(complex(z))
         phi, _ = sf.kummer_m_with_param_derivative(a, b, z, 0.5, 1.0)
         assert phi == sf.kummer_m(a, b, z)
 

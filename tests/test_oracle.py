@@ -21,10 +21,17 @@ from radialspec.oracle import (
 from radialspec.coulomb import coul_spectrum
 from radialspec.oscillator import osc_spectrum
 
+from package_imports import package_imports
+
 
 def _staggered(u_max, points):
     h = u_max / (points - 0.5)
     return GridSpec(h / 2.0, u_max, points)
+
+
+def test_oracle_is_independent_of_the_closed_forms():
+    # the oracles check the closed forms, so they may not compute with them
+    assert package_imports("oracle") <= {"core", "specfun"}
 
 
 # ---------------------------------------------------------------- grids
@@ -157,15 +164,27 @@ def test_shoot_coulomb_m1_family():
     [
         (ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 4.0, 1e-6),
         (ProblemSpec(Theory.COULOMB, 2, -1.0), -1.0 / 9.0, 1e-6),
-        # the boundary asymptote x^(1/2) omits the (1 + g x) Frobenius factor;
-        # at m = 0 that admixes the x^(1/2) ln x channel and costs ~4 u_min
-        # relative, so the start moves in far enough to bound the integrator
+        # at m = 0 the x^(1/2) ln x channel differs in log-derivative by only
+        # 1/(x ln x), so the start needs the Frobenius factor (1 + g x); with
+        # it, a start far inside the default u_min and the default both hold 1e-9
         (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), -1.0, 1e-10),
+        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), -1.0, 1e-6),
     ],
 )
 def test_shoot_pure_power_matches_closed_form(spec, closed, u_min):
     e = shoot_eigenvalue(spec, _bracket(closed), u_min=u_min)
     assert abs(e - closed) < 1e-9 * abs(closed)
+
+
+@pytest.mark.parametrize("u_min", [1e-8, 1e-10])
+def test_shoot_log_mixed_start_converges_as_u_min_shrinks(u_min):
+    # the start derivative is the asymptote's own: a central difference with
+    # step 1e-6 u_min lost 1.6e-3 and 8.8e-2 relative at these two radii
+    spec = ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, ExtensionParam(0.35))
+    (e0, _), (e1, _) = coul_spectrum(spec, levels=2).discrete
+    half = 0.4 * (e1 - e0)
+    e = shoot_eigenvalue(spec, (e0 - half, e0 + half), u_min=u_min)
+    assert abs(e - e0) < 1e-6 * abs(e0)
 
 
 @pytest.mark.parametrize(

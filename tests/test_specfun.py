@@ -7,6 +7,11 @@ import random
 import mpmath as mp
 import pytest
 
+from radialspec import coulomb
+from radialspec import specfun as sf
+from radialspec.core import ExtensionParam, ProblemSpec, Theory
+from radialspec.coulomb import coul_eigenfunction
+from radialspec.oscillator import osc_eigenfunction
 from radialspec.specfun import (
     AccuracyError,
     DEFAULT_CONTROL,
@@ -384,3 +389,161 @@ def test_bessel_wronskian(rng):
 def test_bessel_y_singular_at_origin():
     with pytest.raises((PoleError, ValueError, ZeroDivisionError)):
         bessel("Y", 0, 0.0)
+
+
+# --- per-parameter plans --------------------------------------------------------
+#
+# A plan is built once per parameter set and summed at many points; its
+# bracket tables grow as the points need more terms.  Summed in any order, it
+# must return bit for bit what a fresh one-shot call returns at each point.
+
+# small |z| first, then a point needing more terms than any before it, then
+# Re z < 0 (Kummer transformation), past the switch radius, and z = 0
+PLAN_POINTS = [0.5 + 0.3j, 1.5 - 1.0j, 14.0 + 9.0j, 0.2j, 2.5, -4.0 + 2.0j,
+               -0.3 - 0.1j, 24.0 - 3.0j, 35.0j, 41.0 - 2.0j, -38.0 + 1.0j, 0j]
+SMALL = SeriesControl(max_terms=12)
+
+
+def _outcome(fn, *args):
+    """repr of the value, or of the error's type and message."""
+    try:
+        return repr(fn(*args))
+    except (AccuracyError, PoleError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _assert_plan_matches(plan, one_shot):
+    outcomes = [(_outcome(plan, z), _outcome(one_shot, z)) for z in PLAN_POINTS]
+    assert [p for p, _ in outcomes] == [o for _, o in outcomes]
+    return [p for p, _ in outcomes]
+
+
+@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@pytest.mark.parametrize("a, b", [(0.3 + 0.2j, 2.0), (-1.7, 1.5 + 0.2j), (-3.0, 2.0), (4.0, 1.0)])
+def test_kummer_plan_matches_one_shot(a, b, ctl):
+    _assert_plan_matches(sf._KummerPlan(a, b, ctl), lambda z: kummer_m(a, b, z, ctl))
+
+
+@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@pytest.mark.parametrize(
+    "a, b",
+    # log series, terminating a, terminating 2F0 (a - b + 1 = -1), b < 1
+    [(0.3 + 0.2j, 1), (0.6 - 0.4j, 3), (-2.0, 2), (1.0, 3), (0.3 + 0.2j, -1)],
+)
+def test_tricomi_plan_matches_one_shot(a, b, ctl):
+    _assert_plan_matches(sf._TricomiPlan(a, b, ctl), lambda z: tricomi_u(a, b, z, ctl))
+
+
+@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@pytest.mark.parametrize(
+    "a, n",
+    # generic, and a = -3, where S1 terminates and S0 takes the pole tail
+    [(0.3 + 0.2j, 0), (0.3 + 0.2j, 2), (-1.6 + 0.5j, 1), (-3.0, 1), (-3.0, 0)],
+)
+def test_log_companion_plan_matches_one_shot(a, n, ctl):
+    plan = sf._CompanionPlan(a, n, ctl)
+    _assert_plan_matches(plan, lambda z: kummer_log_companion(a, n, z, ctl))
+    if ctl is DEFAULT_CONTROL and a != -3.0:
+        # the table grew past the first point's needs for the later points
+        assert len(plan.brackets) > 20
+
+
+@pytest.mark.parametrize(
+    "plan", [sf._CompanionPlan(0.3 + 0.2j, 1), sf._DerivativePlan(0.3 + 0.2j, 1.0, 0.5, 1.0)],
+    ids=["companion", "derivative"],
+)
+def test_a_grown_table_is_published_by_rebinding(plan):
+    # a sum still reading the old table must not see it change under it
+    plan(0.5 + 0.3j)
+    old = plan.brackets
+    size = len(old)
+    plan(14.0 + 9.0j)
+    assert len(old) == size < len(plan.brackets)
+    assert plan.brackets[:size] == old
+
+
+@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@pytest.mark.parametrize(
+    "a, n",
+    # generic, pole tail at a = -2, and the degenerate index a = l0 = 1, 2 <= n
+    [(0.3 + 0.2j, 1), (0.6 - 0.4j, 3), (-2.0, 2), (1.0, 2), (2.0, 2)],
+)
+def test_log_channel_plan_matches_one_shot(a, n, ctl):
+    plan = sf._LogChannelPlan(a, n, ctl)
+    for log_r in (0.0, -1.3):
+        _assert_plan_matches(
+            lambda z: plan(z, log_r), lambda z: sf.kummer_log_channel(a, n, z, log_r, ctl)
+        )
+
+
+@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@pytest.mark.parametrize(
+    "a, b, da, db",
+    # the m = 0 pair's direction, another one, and the pole tail at a = -2
+    [(0.3 + 0.2j, 1.0, 0.5, 1.0), (-1.6 + 0.5j, 2.0, -0.3, 0.7), (-2.0, 1.0, 0.5, 1.0)],
+)
+def test_param_derivative_plan_matches_one_shot(a, b, da, db, ctl):
+    plan = sf._DerivativePlan(a, b, da, db, ctl)
+    outcomes = _assert_plan_matches(
+        plan, lambda z: sf.kummer_m_with_param_derivative(a, b, z, da, db, ctl)
+    )
+    if ctl is SMALL:
+        assert any(o.startswith("AccuracyError") for o in outcomes)
+        assert not all(o.startswith("AccuracyError") for o in outcomes)
+
+
+def test_plans_raise_what_one_shot_calls_raise():
+    with pytest.raises(PoleError, match="kummer_m_param_derivative second parameter"):
+        sf._DerivativePlan(0.3, -1.0, 0.5, 1.0)
+    with pytest.raises(PoleError, match="kummer_m second parameter"):
+        sf._KummerPlan(0.3, -2.0)
+    with pytest.raises(PoleError, match="sigma_a"):
+        sf._CompanionPlan(1.0, 2)
+    with pytest.raises(ValueError):
+        sf._LogChannelPlan(0.3, -1)
+
+
+WAVE_SPECS = [
+    (Theory.COULOMB, 2, -1.0, None, 3),  # C1 (Kummer plan)
+    (Theory.COULOMB, 2, -1.0, None, 1.7),  # continuum, |z| up to 26
+    (Theory.COULOMB, 1, -1.0, 0.35, 2),  # log channel, C3 tail past 4/K
+    (Theory.COULOMB, 1, 0.6, -0.4, 1.3),
+    (Theory.COULOMB, 0, -1.0, 0.3, 1),  # parameter derivative, C3 tail
+    (Theory.COULOMB, 0, -0.8, 0.3, 0.9),
+    (Theory.OSCILLATOR, 1, 1.3, None, 3),
+    (Theory.OSCILLATOR, 0, 1.1, 0.7, 1),  # O2_0 pair, O3 tail
+]
+
+
+@pytest.mark.parametrize("theory, m, coupling, zeta, which", WAVE_SPECS)
+def test_wave_values_do_not_depend_on_the_order_of_radii(theory, m, coupling, zeta, which):
+    ext = None if zeta is None else ExtensionParam(zeta)
+    spec = ProblemSpec(theory, m, coupling, 1.0, ext)
+    fn = osc_eigenfunction if theory is Theory.OSCILLATOR else coul_eigenfunction
+    radii = [0.02 + 0.1 * i for i in range(100)]
+    shuffled = radii[:]
+    random.Random(5).shuffle(shuffled)
+    seen = []
+    for order in (radii, radii[::-1], shuffled):
+        wave = fn(spec, which)  # fresh plans, grown in this order
+        seen.append({u: repr(wave(u)) for u in order})
+    assert seen[0] == seen[1] == seen[2]
+
+
+@pytest.mark.parametrize(
+    "kind, m, energy, g",
+    [
+        ("C1", 2, 0.4 + 0.3j, -0.7), ("C3", 2, 0.4 + 0.3j, -0.7), ("C4", 2, 0.4 + 0.3j, -0.7),
+        ("C3", 1, -1.3 + 0.2j, 1.1), ("C4", 1, -1.3 + 0.2j, 1.1), ("C2_0", 0, 0.9 + 0.5j, -1.2),
+        ("C3", 0, 2.0 + 0.1j, 0.5),
+        ("C4", 2, -1.0 / 25.0, -1.0),  # alpha = -1: terminating C3, pole-tail C4
+        ("C2_0", 0, -1.0 / 9.0, -1.0),  # alpha = -1: pole-tail derivative
+        ("C4", 2, -1.0, -1.0),  # alpha = 1: the degenerate log index
+    ],
+)
+def test_solution_closure_matches_one_shot_solutions(kind, m, energy, g):
+    closure = coulomb._coul_at(kind, coulomb.coul_parameters(m, energy, g), 1.0)
+    radii = [0.05 + 0.25 * i for i in range(60)]
+    random.Random(9).shuffle(radii)
+    got = [repr(closure(x)) for x in radii]
+    assert got == [repr(coulomb.coul_solution(kind, m, x, energy, g)) for x in radii]
