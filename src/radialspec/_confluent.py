@@ -1,7 +1,11 @@
-"""Assembly shared by both radial operators, which are one confluent problem
-in (alpha, beta = 1 + |m|, z): solution closures, family roots, spectral
-measures, eigenfunctions and family Green functions.  Each theory passes in
-its own parameter map, radius powers and weights; this module imports
+"""Formulas and assembly shared by both radial operators, which are one
+confluent problem in (alpha, n = |m|, r): r = 2K/kappa0 for Coulomb and
+varkappa^2/kappa0^2 for the oscillator, equal under lambda = -4 kappa0^2 E.
+Stated once here: the connection coefficients and the unique-cell resolvent
+diagonal, the m = 0 family function, the family resolvent diagonal and
+density, the pole-ladder root brackets, solution closures, spectral measures,
+eigenfunctions and family Green functions.  Each theory passes in its own
+parameter map, radius powers and scale constants; this module imports
 neither theory, so the duality checks compare two independent maps.
 """
 
@@ -57,6 +61,75 @@ def log_pair(
         return high_r * pre * phi, pre * ((kappa0 * r) ** low * p - rest * high_r * log_part)
 
     return pair
+
+
+def coefficients(
+    alpha: complex, n: int, r: complex, omega_scale: float
+) -> tuple[complex, complex, complex, complex]:
+    """(A, B, C, omega) at |m| = n >= 1: C3 = B C1 + C C4 (O3 = B O1 + C O4)
+    and omega = omega_scale n C, with omega_scale kappa0 (Coulomb) or
+    2 kappa0 (oscillator)."""
+    alpha_minus = alpha - n
+    if sf._nonpositive_int(alpha) is not None:
+        raise sf.PoleError(int(round(alpha.real)), "Gamma(alpha)")
+    if sf._nonpositive_int(alpha_minus) is not None:
+        raise sf.PoleError(int(round(alpha_minus.real)), "Gamma(alpha_minus)")
+    a = r**n * (-1.0) ** n * sf.pochhammer(1 - alpha, n) / math.factorial(n)
+    b = (
+        (-1.0) ** (n + 1)
+        / (2.0 * math.factorial(n))
+        * sf.rgamma(alpha_minus)
+        * (sf.digamma(alpha_minus) + sf.digamma(alpha) + 2.0 * cmath.log(r))
+    )
+    c = r ** (-n) * math.factorial(n - 1) * sf.rgamma(alpha)
+    return a, b, c, omega_scale * n * c
+
+
+def unique_omega(alpha: complex, n: int, r: complex, omega_scale: float) -> complex:
+    """Resolvent diagonal B/omega of a unique cell at |m| = n >= 1, with
+    Gamma(alpha)/Gamma(alpha - n) taken as the polynomial (-1)^n (1 - alpha)_n."""
+    d = r**n * sf.pochhammer(1 - alpha, n) / (2.0 * omega_scale * math.factorial(n) ** 2)
+    return d * (-2.0 * cmath.log(r) - sf.digamma(alpha) - sf.digamma(alpha - n))
+
+
+def m0_family_function(alpha: complex, r: complex) -> complex:
+    """f_0 = psi(1) - psi(alpha)/2 - ln(r)/2: the m = 0 family levels of both
+    theories solve f_0 = -tan(zeta)."""
+    return sf.digamma(1.0) - 0.5 * sf.digamma(alpha) - 0.5 * cmath.log(r)
+
+
+def family_omega(f: complex, zeta: float, scale: float, kappa0: float) -> complex:
+    """Resolvent diagonal scale (f sin - cos) / (kappa0 (f cos + sin)) of a
+    family cell at angle zeta, from its family function f."""
+    c, s = math.cos(zeta), math.sin(zeta)
+    return scale * (f * s - c) / (kappa0 * (f * c + s))
+
+
+def family_density(re_f, parts, zeta: float, half_pi: bool):
+    """E -> (1/pi) Im family_omega at E + i0 = rho / |f cos(zeta) + sin(zeta)|^2,
+    where parts(E) gives the theory's closed forms (rho, Im f) at E + i0 and
+    rho = scale Im f / (pi kappa0) is the density of the zeta = pi/2 member.
+    At zeta = pi/2 the cosine is taken as 0 and Re f is never evaluated."""
+    c, s = math.cos(zeta), math.sin(zeta)
+
+    def density(E: float) -> float:
+        rho, im = parts(E)
+        if rho == 0.0 or half_pi:
+            return rho
+        return rho / ((re_f(E) * c + s) ** 2 + im * im * c * c)
+
+    return density
+
+
+def ladder_root(h, pole, n: int, xtol: float) -> float:
+    """n-th root of h, one per gap of the increasing pole ladder pole(k),
+    bracketed 1e-6 of half the gap inside its poles; below pole(0) the bracket
+    starts one gap down and steps down by a doubling span."""
+    gap = pole(n) - pole(n - 1) if n else pole(1) - pole(0)
+    hi = pole(n) - 0.5e-6 * gap
+    if n == 0:
+        return family_root(h, pole(0) - gap, hi, xtol, span=2.0 * gap)
+    return family_root(h, pole(n - 1) + 0.5e-6 * gap, hi, xtol)
 
 
 def family_root(h, lo: float, hi: float, xtol: float, span: float | None = None) -> float:

@@ -126,33 +126,8 @@ def coul_coefficients(
     """
     if abs(m) < 1:
         raise ValidationError("coefficients defined for |m| >= 1")
-    return _coul_coefficients(coul_parameters(m, energy, g), kappa0)
-
-
-def _coul_coefficients(
-    par: CoulCoefficients, kappa0: float
-) -> tuple[complex, complex, complex, complex]:
-    """coul_coefficients at the energy of `par`, |m| = par.beta - 1 >= 1."""
-    n = par.beta - 1
-    if sf._nonpositive_int(par.alpha) is not None:
-        raise sf.PoleError(int(round(par.alpha.real)), "Gamma(alpha)")
-    if sf._nonpositive_int(par.alpha_minus) is not None:
-        raise sf.PoleError(int(round(par.alpha_minus.real)), "Gamma(alpha_minus)")
-    ratio = 2.0 * par.K / kappa0
-    a_m = ratio**n * (-1.0) ** n * sf.pochhammer(1 - par.alpha, n) / math.factorial(n)
-    b_m = (
-        (-1.0) ** (n + 1)
-        / (2.0 * math.factorial(n))
-        * sf.rgamma(par.alpha_minus)
-        * (
-            sf.digamma(par.alpha_minus)
-            + sf.digamma(par.alpha)
-            + 2.0 * cmath.log(ratio)
-        )
-    )
-    c_m = ratio ** (-n) * math.factorial(n - 1) * sf.rgamma(par.alpha)
-    omega = kappa0 * n * c_m
-    return a_m, b_m, c_m, omega
+    par = coul_parameters(m, energy, g)
+    return cf.coefficients(par.alpha, abs(m), 2.0 * par.K / kappa0, kappa0)
 
 
 def coul_family_function(
@@ -173,41 +148,26 @@ def coul_family_function(
             + 2.0 * cmath.log(2.0 * par.K / kappa0)
         )
     par = coul_parameters(0, e, g)
-    return (
-        sf.digamma(1.0)
-        - 0.5 * sf.digamma(par.alpha)
-        - 0.5 * cmath.log(2.0 * par.K / kappa0)
-    )
+    return cf.m0_family_function(par.alpha, 2.0 * par.K / kappa0)
 
 
 def coul_critical_zeta(m: int, g: float, kappa0: float = 1.0) -> float:
     """Extension angle at which a zero-energy atom appears (g > 0)."""
     if g <= 0:
         raise ValidationError("critical zeta is defined for g > 0")
-    if m == 1:
-        return math.atan((g / kappa0) * math.log(g / kappa0))
-    if m == 0:
-        return math.atan(0.5 * math.log(g / kappa0) + sf.EULER_GAMMA)
-    raise ValidationError("critical zeta exists for m in {0, 1}")
+    if abs(m) not in (0, 1):
+        raise ValidationError("critical zeta exists for m in {0, +-1}")
+    return math.atan(_critical_tan(abs(m), g, kappa0))
 
 
-# --- family root finding -------------------------------------------------------
+def _critical_tan(n: int, g: float, kappa0: float) -> float:
+    """tan of the critical angle of the |m| = n in {0, 1} family, g > 0."""
+    if n == 1:
+        return (g / kappa0) * math.log(g / kappa0)
+    return 0.5 * math.log(g / kappa0) + sf.EULER_GAMMA
 
 
-def _family_root_ladder(h, m: int, g: float, n: int) -> float:
-    """n-th root of h for g < 0, bracketed in the pole ladder of the family function."""
-
-    def pole(k: int) -> float:
-        return -g * g / (1 + abs(m) + 2 * k) ** 2
-
-    hi = pole(n)
-    hi -= 1e-6 * abs(hi)
-    if n == 0:  # no finite left pole: lo doubles until h changes sign
-        lo = 2.0 * pole(0)
-        return cf.family_root(h, lo, hi, 5e-16, span=-lo)
-    lo = pole(n - 1)
-    lo += 1e-6 * abs(lo)
-    return cf.family_root(h, lo, hi, 5e-16)
+# --- family-function slopes (atom weights) ------------------------------------
 
 
 def _f1_prime(E: float, g: float, kappa0: float) -> float:
@@ -253,79 +213,29 @@ def _density_unique(m: int, g: float, kappa0: float):
     return density
 
 
-def _density_m1(g: float, kappa0: float, zeta: float, half_pi: bool):
-    def density(E: float) -> float:
-        if E <= 0:
-            return 0.0
-        p = math.sqrt(E)
-        # B_1 = Im f_1 = (pi g / kappa0) / expm1(pi g / p), regular at g = 0
-        if g == 0.0:
-            b1 = p / kappa0
-        elif math.pi * g / p > 700.0:
-            b1 = 0.0  # exponentially suppressed below the repulsive barrier
-        else:
-            b1 = math.pi * g / (kappa0 * math.expm1(math.pi * g / p))
-        if half_pi:
-            return b1 / (math.pi * kappa0)
-        a1 = coul_family_function(1, E, g, kappa0).real
-        c, s = math.cos(zeta), math.sin(zeta)
-        return (1.0 / (math.pi * kappa0)) * b1 / ((a1 * c - s) ** 2 + b1 * b1 * c * c)
-
-    return density
-
-
-def _density_m0(g: float, kappa0: float, zeta: float, half_pi: bool):
-    def density(E: float) -> float:
-        if E <= 0:
-            return 0.0
-        p = math.sqrt(E)
-        b0 = 1.0 - math.tanh(math.pi * g / (2.0 * p))
-        if half_pi:
-            return b0 / (2.0 * kappa0)
-        a0 = coul_family_function(0, E, g, kappa0).real
-        c, s = math.cos(zeta), math.sin(zeta)
-        return (
-            (8.0 / kappa0)
-            * b0
-            / (16.0 * (a0 * c + s) ** 2 + math.pi**2 * b0 * b0 * c * c)
-        )
-
-    return density
-
-
 def _coul_levels(spec: ProblemSpec, cell: RegimeClass):
     """(number of atoms, None for an infinite ladder; k -> the k-th atom
     (E_k, Q_k^2)).  Every atom is computed on its own: each ladder level has
     its own bracket, so one level costs one root solve."""
     g, k0 = spec.coupling, spec.kappa0
-    if cell is RegimeClass.COUL_UNIQUE:
+    # a zeta = pi/2 family member is the pure-power channel: the unique ladder at n = |m|
+    if cell is RegimeClass.COUL_UNIQUE or spec.extension.is_half_pi:
         if g >= 0:
             return 0, None
         n = abs(spec.m)
 
         def atom(k: int) -> tuple[float, float]:
-            tau = abs(g) / (1 + n + 2 * k)
-            # residue of the resolvent diagonal: Q^2 = 8 tau^3 D_m / |g|
-            q2 = (
-                (2.0 * tau / k0) ** n * 4.0 * tau * tau * sf.pochhammer(1.0 + k, n).real
-                / ((1 + n + 2 * k) * k0 * math.factorial(n) ** 2)
-            )
-            return -g * g / (1 + n + 2 * k) ** 2, q2
+            big_n = 1 + n + 2 * k
+            tau = abs(g) / big_n
+            # residue of the resolvent diagonal: Q^2 = 2^(n+2) tau^(n+2) (1+k)_n
+            # / (N kappa0^(n+1) n!^2); the integer factors cancel exactly first
+            num, den = 2 ** (n + 2) * math.perm(k + n, n), big_n * math.factorial(n) ** 2
+            common = math.gcd(num, den)
+            q2 = (num // common) * tau ** (n + 2) / ((den // common) * k0 ** (n + 1))
+            return -g * g / big_n**2, q2
 
         return None, atom
     m1 = cell is RegimeClass.COUL_M1_FAMILY
-    if spec.extension.is_half_pi:
-        if g >= 0:
-            return 0, None
-        if m1:
-            return None, lambda n: (
-                -g * g / (4.0 * (1 + n) ** 2),
-                4.0 * (abs(g) / (2.0 * (1 + n))) ** 3 / k0**2,
-            )
-        return None, lambda n: (
-            -g * g / (1 + 2 * n) ** 2,
-            4.0 * (g / (1 + 2 * n)) ** 2 / (k0 * (1 + 2 * n)),
-        )
     t = math.tan(spec.zeta)
     cos2 = math.cos(spec.zeta) ** 2
     # levels solve f_1(E) = tan(zeta), respectively f_0(E) = -tan(zeta)
@@ -340,7 +250,10 @@ def _coul_levels(spec: ProblemSpec, cell: RegimeClass):
         return e, 2.0 / (k0 * cos2 * _f0_prime(e, g, k0))
 
     if g < 0:
-        return None, lambda n: weighted(_family_root_ladder(h, m, g, n))
+        # the ladder accumulates at E = 0: only a relative tolerance (a
+        # negligible xtol) holds its roots to a few ulp there
+        pole = lambda k: -g * g / (1 + m + 2 * k) ** 2
+        return None, lambda n: weighted(cf.ladder_root(h, pole, n, 1e-300))
     if g == 0.0 and m1:
         return (0, None) if spec.zeta >= 0 else (1, lambda n: weighted(-(k0 * t) ** 2))
     if g == 0.0:
@@ -349,7 +262,7 @@ def _coul_levels(spec: ProblemSpec, cell: RegimeClass):
         )
         return 1, lambda n: (e, 8.0 * abs(e) / (k0 * cos2))
     # g > 0: a zero-energy atom at the critical angle, one negative atom on one side
-    t_c = (g / k0) * math.log(g / k0) if m1 else 0.5 * math.log(g / k0) + sf.EULER_GAMMA
+    t_c = _critical_tan(m, g, k0)
     if abs(t - t_c) <= 1e-12 * max(1.0, abs(t_c)):
         return 1, lambda n: (0.0, (3.0 if m1 else 24.0) * g * g / (k0 * cos2))
     if (t > t_c) == m1:
@@ -366,9 +279,29 @@ def _coul_continuum(spec: ProblemSpec, cell: RegimeClass):
     g, k0 = spec.coupling, spec.kappa0
     if cell is RegimeClass.COUL_UNIQUE:
         return _density_unique(spec.m, g, k0), "R+"
-    half_pi = spec.extension.is_half_pi
-    density = _density_m1 if cell is RegimeClass.COUL_M1_FAMILY else _density_m0
-    return density(g, k0, spec.zeta, half_pi), "R+"
+    m1 = cell is RegimeClass.COUL_M1_FAMILY
+
+    def parts(E: float) -> tuple[float, float]:
+        """(density at zeta = pi/2, Im f) at E + i0 in closed form; zero off R+."""
+        if E <= 0:
+            return 0.0, 0.0
+        p = math.sqrt(E)
+        if not m1:
+            b0 = 1.0 - math.tanh(math.pi * g / (2.0 * p))
+            return b0 / (2.0 * k0), 0.25 * math.pi * b0
+        # Im f_1 = (pi g / kappa0) / expm1(pi g / p), regular at g = 0
+        if g == 0.0:
+            b1 = p / k0
+        elif math.pi * g / p > 700.0:
+            return 0.0, 0.0  # exponentially suppressed below the repulsive barrier
+        else:
+            b1 = math.pi * g / (k0 * math.expm1(math.pi * g / p))
+        return b1 / (math.pi * k0), b1
+
+    re_f = lambda E: coul_family_function(1 if m1 else 0, E, g, k0).real
+    # Omega_{1,zeta} is the shared family Omega at -zeta
+    zeta = -spec.zeta if m1 else spec.zeta
+    return cf.family_density(re_f, parts, zeta, spec.extension.is_half_pi), "R+"
 
 
 def coul_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
@@ -385,37 +318,17 @@ def coul_density(spec: ProblemSpec, E: float) -> float:
 # --- Green function and resolvent diagonal ------------------------------------
 
 
-def _omega_unique(
-    m: int, e: ComplexEnergy, g: float, k0: float
-) -> complex:
-    """Closed-form resolvent diagonal for the distinguished C1/C3 kernel."""
-    n = abs(m)
-    par = coul_parameters(m, e, g)
-    d_m = (
-        (2.0 * par.K / k0) ** n
-        * sf.pochhammer(1 - par.alpha, n)
-        / (2.0 * k0 * math.factorial(n) ** 2)
-    )
-    return d_m * (
-        2.0 * cmath.log(k0 / (2.0 * par.K))
-        - sf.digamma(par.alpha)
-        - sf.digamma(par.alpha_minus)
-    )
-
-
 def coul_spectral_omega(spec: ProblemSpec, energy: ComplexEnergy | complex) -> complex:
     """Resolvent diagonal coefficient: sigma'(E) = (1/pi) Im of this at E + i0."""
     cell = classify(spec)
     g, k0 = spec.coupling, spec.kappa0
     e = as_energy(energy)
     if cell is RegimeClass.COUL_UNIQUE:
-        return _omega_unique(spec.m, e, g, k0)
-    zeta = spec.zeta
-    f = coul_family_function(1 if cell is RegimeClass.COUL_M1_FAMILY else 0, e, g, k0)
-    c, s = math.cos(zeta), math.sin(zeta)
+        par = coul_parameters(spec.m, e, g)
+        return cf.unique_omega(par.alpha, abs(spec.m), 2.0 * par.K / k0, k0)
     if cell is RegimeClass.COUL_M1_FAMILY:
-        return -(f * s + c) / (k0 * (f * c - s))
-    return (2.0 / k0) * (f * s - c) / (f * c + s)
+        return cf.family_omega(coul_family_function(1, e, g, k0), -spec.zeta, 1.0, k0)
+    return cf.family_omega(coul_family_function(0, e, g, k0), spec.zeta, 2.0, k0)
 
 
 def coul_green(
@@ -425,14 +338,14 @@ def coul_green(
     e = as_energy(energy)
     if e.value.imag <= 0:
         raise ValidationError("Green function requires Im E > 0 (use the density path)")
+    hi, lo = max(x, y), min(x, y)
+    if lo <= 0:
+        raise ValidationError("x must be positive")
     cell = classify(spec)
     g, k0 = spec.coupling, spec.kappa0
-    hi, lo = max(x, y), min(x, y)
     if cell is RegimeClass.COUL_UNIQUE:
         par = coul_parameters(spec.m, e, g)
-        _, _, _, omega = _coul_coefficients(par, k0)
-        if lo <= 0:
-            raise ValidationError("x must be positive")
+        omega = cf.coefficients(par.alpha, abs(spec.m), 2.0 * par.K / k0, k0)[3]
         return _coul_at("C3", par, k0)(hi) * _coul_at("C1", par, k0)(lo) / omega
     om = coul_spectral_omega(spec, e)
     pair = _coul_pair(coul_parameters(spec.m, e, g), k0)

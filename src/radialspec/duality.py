@@ -21,7 +21,6 @@ from .core import (
     as_energy,
 )
 from .coulomb import (
-    _omega_unique,
     coul_coefficients,
     coul_family_function,
     coul_parameters,
@@ -29,8 +28,8 @@ from .coulomb import (
     coul_spectrum,
 )
 from .oscillator import (
-    _omega0,
     osc_coefficients,
+    osc_family_function,
     osc_solution,
     osc_spectrum,
 )
@@ -124,7 +123,7 @@ def verify_coefficient_identities(
             _, w, lam = coulomb_to_oscillator(1.0, energy, g, kappa0)
             try:
                 om_c = 2.0 * coul_family_function(0, energy, g, kappa0)
-                om_o = _omega0(complex(w), lam, kappa0)
+                om_o = 2.0 * osc_family_function(w, lam, kappa0)
             except (sf.PoleError, ValidationError):
                 excluded.append(i)
                 continue
@@ -149,8 +148,7 @@ def verify_coefficient_identities(
         try:
             a_c, b_c, c_c, om_c = coul_coefficients(m, energy, g, kappa0)
             a_o, b_o, c_o, om_o = osc_coefficients(m, as_energy(w), lam, kappa0)
-            omega_c = _omega_unique(m, as_energy(energy), g, kappa0)
-            omega_o = b_o / om_o
+            omega_c, omega_o = b_c / om_c, b_o / om_o
         except (sf.PoleError, ValidationError):
             excluded.append(i)
             continue

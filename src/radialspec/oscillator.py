@@ -65,6 +65,13 @@ def _varkappa(lam: complex) -> complex:
     return cmath.sqrt(as_energy(-lam).sqrt_minus())
 
 
+def _osc_r(par: OscCoefficients, kappa0: float) -> complex:
+    """r = varkappa^2 / kappa0^2 of the shared confluent formulas, from the
+    same rounded varkappa^2 as alpha, so that their rounding errors cancel
+    where the formulas combine r with alpha."""
+    return par.varkappa * par.varkappa / kappa0**2
+
+
 def osc_parameters(m: int, W: complex, lam: complex) -> OscCoefficients:
     vk = _varkappa(lam)
     w = complex(W) / (4.0 * vk * vk)
@@ -181,43 +188,8 @@ def osc_coefficients(
     """
     if abs(m) < 1 or lam == 0:
         raise ValidationError("coefficients defined for |m| >= 1, lambda != 0")
-    return _osc_coefficients(osc_parameters(m, as_energy(W).value, lam), kappa0)
-
-
-def _osc_coefficients(
-    par: OscCoefficients, kappa0: float
-) -> tuple[complex, complex, complex, complex]:
-    """osc_coefficients at the energy of `par`, |m| = par.beta - 1 >= 1."""
-    n = par.beta - 1
-    if sf._nonpositive_int(par.alpha) is not None:
-        raise sf.PoleError(int(round(par.alpha.real)), "Gamma(alpha)")
-    if sf._nonpositive_int(par.alpha_minus) is not None:
-        raise sf.PoleError(int(round(par.alpha_minus.real)), "Gamma(alpha_minus)")
-    ratio = (par.varkappa / kappa0) ** (2 * n)
-    a_m = ratio * (-1.0) ** n * sf.pochhammer(1 - par.alpha, n) / math.factorial(n)
-    b_m = (
-        (-1.0) ** (n + 1)
-        / (2.0 * math.factorial(n))
-        * sf.rgamma(par.alpha_minus)
-        * (
-            sf.digamma(par.alpha_minus)
-            + sf.digamma(par.alpha)
-            - 4.0 * cmath.log(kappa0 / par.varkappa)
-        )
-    )
-    c_m = (1.0 / ratio) * math.factorial(n - 1) * sf.rgamma(par.alpha)
-    omega = 2.0 * kappa0 * n * c_m
-    return a_m, b_m, c_m, omega
-
-
-def _omega0(W: complex, lam: float, kappa0: float) -> complex:
-    """m=0 boundary coefficient omega_0(W) = 2 ln(kappa0/vk) + 2 psi(1) - psi(alpha)."""
-    par = osc_parameters(0, W, lam)
-    return (
-        2.0 * cmath.log(kappa0 / par.varkappa)
-        + 2.0 * sf.digamma(1.0)
-        - sf.digamma(par.alpha)
-    )
+    par = osc_parameters(m, as_energy(W).value, lam)
+    return cf.coefficients(par.alpha, abs(m), _osc_r(par, kappa0), 2.0 * kappa0)
 
 
 def _omega00(W: ComplexEnergy, kappa0: float) -> complex:
@@ -233,26 +205,11 @@ def osc_family_function(
     e = as_energy(W)
     if lam == 0:
         return _omega00(e, kappa0)
-    return 0.5 * _omega0(e.value, lam, kappa0)
+    par = osc_parameters(0, e.value, lam)
+    return cf.m0_family_function(par.alpha, _osc_r(par, kappa0))
 
 
 # --- spectral data -------------------------------------------------------------
-
-
-def _osc_m0_root(lam: float, kappa0: float, zeta: float, n: int) -> float:
-    """n-th root of f(E) = -tan(zeta), bracketed inside the pole ladder."""
-    sq = 2.0 * math.sqrt(lam)
-    target = -math.tan(zeta)
-
-    def f(E: float) -> float:
-        return osc_family_function(E, lam, kappa0).real - target
-
-    db = 1e-6 * sq
-    hi = sq * (1 + 2 * n) - db
-    if n >= 1:
-        return cf.family_root(f, sq * (1 + 2 * (n - 1)) + db, hi, 1e-14)
-    # no finite left pole: expand downwards from -sq until f changes sign
-    return cf.family_root(f, -sq, hi, 1e-14, span=4.0 * sq)
 
 
 def _density_m_neg(m: int, lam: float, kappa0: float):
@@ -293,52 +250,33 @@ def _density_m_free(m: int, kappa0: float):
     return density
 
 
-def _density_m0_neg(lam: float, kappa0: float, zeta: float):
-    def density(E: float) -> float:
-        om0 = _omega0(complex(E), lam, kappa0)
-        a, b = om0.real, om0.imag / math.pi
-        c, s = math.cos(zeta), math.sin(zeta)
-        return (2.0 / kappa0) * b / ((a * c + 2.0 * s) ** 2 + math.pi**2 * b * b * c * c)
-
-    return density
-
-
-def _density_m0_free(kappa0: float, zeta: float):
-    def density(E: float) -> float:
-        if E <= 0:
-            return 0.0
-        c, s = math.cos(zeta), math.sin(zeta)
-        g = -2.0 * sf.EULER_GAMMA - math.log(E / (4.0 * kappa0**2))
-        return (2.0 / kappa0) / ((g * c + 2.0 * s) ** 2 + math.pi**2 * c * c)
-
-    return density
-
-
 def _osc_levels(spec: ProblemSpec, cell: RegimeClass):
     """(number of atoms, None for an infinite ladder; k -> the k-th atom
     (E_k, Q_k^2)).  Every atom is computed on its own: each ladder level has
     its own bracket, so one level costs one root solve."""
     lam, k0 = spec.coupling, spec.kappa0
-    if cell is RegimeClass.OSC_M_POS_LAMBDA_POS:
-        n = abs(spec.m)
+    if lam > 0:
         sq = 2.0 * math.sqrt(lam)
-        vk = lam**0.25
+        # a zeta = pi/2 family member is the pure-power channel: the unique ladder at n = |m|
+        if spec.m != 0 or spec.extension.is_half_pi:
+            n = abs(spec.m)
 
-        def atom(k: int) -> tuple[float, float]:
-            q = ((vk / k0) ** n / math.factorial(n)) * math.sqrt(
-                sq * sf.pochhammer(1.0 + k, n).real / k0
-            )
-            return sq * (1 + n + 2 * k), q * q
+            def atom(k: int) -> tuple[float, float]:
+                # Q^2 = sq^(n+1) (1+k)_n / (2^n kappa0^(2n+1) n!^2); the integer
+                # factors cancel exactly first
+                num, den = math.perm(k + n, n), 2**n * math.factorial(n) ** 2
+                common = math.gcd(num, den)
+                q2 = (num // common) * sq ** (n + 1) / ((den // common) * k0 ** (2 * n + 1))
+                return sq * (1 + n + 2 * k), q2
 
-        return None, atom
-    if cell is RegimeClass.OSC_M0_LAMBDA_POS:
-        sq = 2.0 * math.sqrt(lam)
-        if spec.extension.is_half_pi:
-            return None, lambda k: (sq * (1 + 2 * k), sq / k0)
+            return None, atom
         zeta = spec.zeta
+        target = -math.tan(zeta)
+        h = lambda E: osc_family_function(E, lam, k0).real - target
+        pole = lambda j: sq * (1 + 2 * j)
 
         def root(k: int) -> tuple[float, float]:
-            e = _osc_m0_root(lam, k0, zeta, k)
+            e = cf.ladder_root(h, pole, k, 1e-14)
             # weight: residue of -(1/(pi k0 cos^2 z)) Im 1/(f + tan z)
             fprime = sf.trigamma(osc_parameters(0, e, lam).alpha.real) / (8.0 * math.sqrt(lam))
             return e, 1.0 / (k0 * math.cos(zeta) ** 2 * fprime)
@@ -361,10 +299,22 @@ def _osc_continuum(spec: ProblemSpec, cell: RegimeClass):
     if cell is RegimeClass.OSC_M_POS_LAMBDA_ZERO:
         return _density_m_free(spec.m, k0), "R+"
     if cell is RegimeClass.OSC_M0_LAMBDA_NEG:
-        return _density_m0_neg(lam, k0, spec.zeta), "R"
-    if cell is RegimeClass.OSC_M0_LAMBDA_ZERO:
-        return _density_m0_free(k0, spec.zeta), "R+"
-    return None, "empty"
+        root = math.sqrt(-lam)
+
+        def parts(E: float) -> tuple[float, float]:
+            # Im f(E + i0) = (pi/4)(1 + tanh(pi E / 4 sqrt|lambda|)), as in _density_m_neg
+            half = 1.0 + math.tanh(math.pi * E / (4.0 * root))
+            return half / (4.0 * k0), 0.25 * math.pi * half
+
+        re_f = lambda E: osc_family_function(E, lam, k0).real
+        support = "R"
+    elif cell is RegimeClass.OSC_M0_LAMBDA_ZERO:
+        parts = lambda E: (0.5 / k0, 0.5 * math.pi) if E > 0 else (0.0, 0.0)
+        re_f = lambda E: -sf.EULER_GAMMA - 0.5 * math.log(E / (4.0 * k0**2))
+        support = "R+"
+    else:
+        return None, "empty"
+    return cf.family_density(re_f, parts, spec.zeta, spec.extension.is_half_pi), support
 
 
 def osc_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
@@ -386,19 +336,15 @@ def osc_spectral_omega(spec: ProblemSpec, W: ComplexEnergy | complex) -> complex
     lam, k0 = spec.coupling, spec.kappa0
     e = as_energy(W)
     if cell is RegimeClass.OSC_M_POS_LAMBDA_POS or cell is RegimeClass.OSC_M_POS_LAMBDA_NEG:
-        _, b, _, omega = osc_coefficients(spec.m, e, lam, k0)
-        return b / omega
+        par = osc_parameters(spec.m, e.value, lam)
+        return cf.unique_omega(par.alpha, abs(spec.m), _osc_r(par, k0), 2.0 * k0)
     if cell is RegimeClass.OSC_M_POS_LAMBDA_ZERO:
         n = abs(spec.m)
         K = e.sqrt_forward()
         om = (e.value / (4.0 * k0 * k0)) ** n / math.factorial(n) ** 2
         return (math.pi / (2.0 * k0)) * om * (1j - (2.0 / math.pi) * cmath.log(K / k0))
     # the m = 0 families, lambda = 0 included, share the halved convention
-    zeta = spec.zeta
-    f = osc_family_function(e, lam, k0)
-    om_z = f * math.cos(zeta) + math.sin(zeta)
-    om_zt = f * math.sin(zeta) - math.cos(zeta)
-    return om_zt / (k0 * om_z)
+    return cf.family_omega(osc_family_function(e, lam, k0), spec.zeta, 1.0, k0)
 
 
 def osc_green(
@@ -408,19 +354,19 @@ def osc_green(
     e = as_energy(W)
     if e.value.imag <= 0:
         raise ValidationError("Green function requires Im W > 0 (use the density path)")
+    hi, lo = max(u, v), min(u, v)
+    if lo <= 0:
+        raise ValidationError("u must be positive")
     cell = classify(spec)
     lam, k0 = spec.coupling, spec.kappa0
-    hi, lo = max(u, v), min(u, v)
     if spec.m != 0:
         if cell is RegimeClass.OSC_M_POS_LAMBDA_ZERO:
             omega = 2.0 * k0 * abs(spec.m)
             o3, o1 = _osc_at("O3", spec.m, e, lam, k0), _osc_at("O1", spec.m, e, lam, k0)
         else:
             par = osc_parameters(spec.m, e.value, lam)
-            _, _, _, omega = _osc_coefficients(par, k0)
+            omega = cf.coefficients(par.alpha, abs(spec.m), _osc_r(par, k0), 2.0 * k0)[3]
             o3, o1 = _osc_par_at("O3", par, k0), _osc_par_at("O1", par, k0)
-        if lo <= 0:
-            raise ValidationError("u must be positive")
         return o3(hi) * o1(lo) / omega
     om = osc_spectral_omega(spec, e)
     return cf.family_green(_osc_pair(e, lam, k0), om, spec.zeta, 1.0 / k0, hi, lo)

@@ -101,15 +101,19 @@ def test_coulomb_family_half_pi_ladders():
         m0 = coul_spectrum(
             ProblemSpec(Theory.COULOMB, 0, g, 1.0, ExtensionParam(HALF_PI)), levels=11
         )
-        for n, (e, _) in enumerate(m0.discrete):
+        # the pi/2 members are the unique-cell ladder at n = |m|, whose integer
+        # factors cancel exactly: the weights are their closed forms bit for bit
+        for n, (e, w) in enumerate(m0.discrete):
             exact = -g * g / (1 + 2 * n) ** 2
             assert abs(e - exact) <= 1e-12 * abs(exact)
+            assert w == 4.0 * (g / (1 + 2 * n)) ** 2 / (1 + 2 * n)
         m1 = coul_spectrum(
             ProblemSpec(Theory.COULOMB, 1, g, 1.0, ExtensionParam(HALF_PI)), levels=11
         )
-        for n, (e, _) in enumerate(m1.discrete):
+        for n, (e, w) in enumerate(m1.discrete):
             exact = -g * g / (4.0 * (1 + n) ** 2)
             assert abs(e - exact) <= 1e-12 * abs(exact)
+            assert w == 4.0 * (abs(g) / (2.0 * (1 + n))) ** 3
 
 
 # -----------------------------------------------------------------------------

@@ -1,17 +1,28 @@
-"""The shared confluent layer: its place under both theories and the family
-root bracketing that both theories hand to it."""
+"""The shared confluent layer: its place under both theories, its formulas
+against 40-digit mpmath, and the family root bracketing that both theories
+hand to it."""
 
+import cmath
+import math
+import random
+import statistics
+
+import mpmath as mp
 import pytest
 
 import radialspec
 from radialspec import _confluent
+from radialspec.core import ExtensionParam, ProblemSpec, Theory
 
-from package_imports import package_imports
+from package_imports import package_import_names, package_imports
 
 
 def test_import_reader_sees_relative_and_absolute_forms():
     assert {"_confluent", "specfun", "core"} <= package_imports("coulomb")
     assert {"coulomb", "oscillator", "core"} <= package_imports("duality")
+    # names from `from .x import a, b`; a whole-module import names nothing
+    assert "coul_spectrum" in package_import_names("duality")["coulomb"]
+    assert package_import_names("coulomb")["_confluent"] == set()
 
 
 def test_theories_are_independent_of_each_other():
@@ -20,6 +31,15 @@ def test_theories_are_independent_of_each_other():
     assert "oscillator" not in package_imports("coulomb")
     assert "coulomb" not in package_imports("oscillator")
     assert not {"coulomb", "oscillator"} & package_imports("_confluent")
+
+
+def test_duality_imports_only_public_theory_names():
+    # the verifiers see each theory through its public API, so they check
+    # what callers get and not a private shortcut shared with the other side
+    names = package_import_names("duality")
+    for module in ("coulomb", "oscillator"):
+        assert names[module]
+        assert names[module] <= set(getattr(radialspec, module).__all__)
 
 
 @pytest.mark.parametrize(
@@ -46,3 +66,93 @@ def test_family_root_bracket_expansion(lo, span, expected):
 def test_family_root_reports_a_failed_bracket():
     with pytest.raises(radialspec.ValidationError, match="failed to bracket"):
         _confluent.family_root(lambda x: 1.0, -1.0, 0.0, 1e-14, span=1.0)
+
+
+# --- the shared formulas against mpmath -------------------------------------
+
+
+def _draws(seed: int, count: int):
+    """Seeded complex alpha, n = 1..4, and r on the bound-state branch
+    (r > 0), on the continuum branch (arg r = -pi/2) and between them."""
+    rnd = random.Random(seed)
+    for i in range(count):
+        alpha = complex(rnd.uniform(-6.0, 6.0), rnd.uniform(-3.0, 3.0))
+        phase = (0.0, -math.pi / 2, rnd.uniform(-math.pi / 2, 0.0))[i % 3]
+        yield alpha, 1 + i % 4, rnd.uniform(0.05, 8.0) * cmath.exp(1j * phase)
+
+
+def test_shared_formulas_against_mpmath():
+    worst = {}
+
+    def check(name, value, ref, size):
+        worst[name] = max(worst.get(name, 0.0), float(abs(mp.mpc(value) - ref) / size))
+
+    with mp.workdps(40):
+        for alpha, n, r in _draws(5150, 240):
+            a, rr = mp.mpc(alpha), mp.mpc(r)
+            psi = [mp.digamma(a - n), mp.digamma(a), 2 * mp.log(rr)]
+            pre_b = (-1) ** (n + 1) / (2 * mp.factorial(n)) * mp.rgamma(a - n)
+            ref_a = rr**n * (-1) ** n * mp.rf(1 - a, n) / mp.factorial(n)
+            ref_c = rr ** (-n) * mp.factorial(n - 1) * mp.rgamma(a)
+            for scale in (1.0, 2.0):  # omega_scale: kappa0 (Coulomb), 2 kappa0 (oscillator)
+                got_a, got_b, got_c, got_w = _confluent.coefficients(alpha, n, r, scale)
+                check("A", got_a, ref_a, abs(ref_a))
+                # B and Omega sum three terms: their error is relative to the terms' size
+                check("B", got_b, pre_b * sum(psi), abs(pre_b) * sum(abs(t) for t in psi))
+                check("C", got_c, ref_c, abs(ref_c))
+                check("omega", got_w, scale * n * ref_c, abs(scale * n * ref_c))
+                # the unique Omega against B/omega: a route through Gamma, not (1 - alpha)_n
+                d = rr**n * mp.rf(1 - a, n) / (2 * scale * mp.factorial(n) ** 2)
+                check("Omega", _confluent.unique_omega(alpha, n, r, scale),
+                      pre_b * sum(psi) / (scale * n * ref_c), abs(d) * sum(abs(t) for t in psi))
+            terms = [mp.digamma(1), -mp.digamma(a) / 2, -mp.log(rr) / 2]
+            check("f0", _confluent.m0_family_function(alpha, r), sum(terms),
+                  sum(abs(t) for t in terms))
+    assert max(worst.values()) < 1e-13, worst
+
+
+def _parent_ladder_root(h, m: int, g: float, n: int) -> float:
+    """The Coulomb ladder rule ladder_root replaced: offsets of 1e-6 |pole|,
+    lo = 2 pole(0) stepping down by doubling below the ground pole, and an
+    absolute xtol of 5e-16."""
+    pole = lambda k: -g * g / (1 + m + 2 * k) ** 2
+    hi = pole(n) - 1e-6 * abs(pole(n))
+    if n == 0:
+        lo = 2.0 * pole(0)
+        return _confluent.family_root(h, lo, hi, 5e-16, span=-lo)
+    return _confluent.family_root(h, pole(n - 1) + 1e-6 * abs(pole(n - 1)), hi, 5e-16)
+
+
+def _mp_coulomb_root(m: int, g: float, k0: float, zeta: float, guess: float):
+    """Root of the Coulomb family function at 40 digits near `guess`."""
+    g, k0 = mp.mpf(g), mp.mpf(k0)
+    target = mp.tan(zeta) if m == 1 else -mp.tan(zeta)
+
+    def h(E):
+        K = mp.sqrt(-E)
+        a = mp.mpf(1 + m) / 2 + g / (2 * K)
+        log_r = mp.log(2 * K / k0)
+        if m == 1:
+            return g / (2 * k0) * (mp.digamma(a) + mp.digamma(a - 1) + 2 * log_r) - target
+        return mp.digamma(1) - mp.digamma(a) / 2 - log_r / 2 - target
+
+    return mp.findroot(h, mp.mpf(guess))
+
+
+def test_moved_ladder_brackets_are_no_further_from_mpmath_roots():
+    rnd = random.Random(7272)
+    new_err, old_err = [], []
+    for i in range(12):
+        m, g = i % 2, -rnd.uniform(0.2, 3.0)
+        k0, zeta = rnd.choice((1.0, 0.7, 1.9)), rnd.uniform(-1.5, 1.5)
+        spec = ProblemSpec(Theory.COULOMB, m, g, k0, ExtensionParam(zeta))
+        target = math.tan(zeta) if m == 1 else -math.tan(zeta)
+        h = lambda E: radialspec.coul_family_function(m, E, g, k0).real - target
+        for n, (e_new, _) in enumerate(radialspec.coul_spectrum(spec, 10).discrete):
+            e_old = _parent_ladder_root(h, m, g, n)
+            with mp.workdps(40):
+                root = _mp_coulomb_root(m, g, k0, zeta, e_new)
+                new_err.append(float(abs((e_new - root) / root)))
+                old_err.append(float(abs((e_old - root) / root)))
+    assert max(new_err) <= max(old_err)
+    assert statistics.median(new_err) <= statistics.median(old_err)

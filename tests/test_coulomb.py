@@ -164,6 +164,8 @@ def test_critical_zeta_values():
         abs(coul_critical_zeta(0, g, k0) - math.atan(0.5 * math.log(g) + EULER))
         < 1e-15
     )
+    # m = -1 belongs to the m = +-1 family
+    assert coul_critical_zeta(-1, g, k0) == coul_critical_zeta(1, g, k0)
     with pytest.raises(ValidationError):
         coul_critical_zeta(1, -1.0)
     with pytest.raises(ValidationError):
@@ -340,6 +342,12 @@ def test_density_matches_resolvent_imag():
         (_m1_spec(1.0, math.pi / 2), 2.0),
         (_m0_spec(-1.0, 0.4), 1.2),
         (_m0_spec(1.0, math.pi / 2), 2.0),
+        (ProblemSpec(Theory.COULOMB, -1, -1.0, 1.0, ExtensionParam(0.4)), 1.2),
+        (_m1_spec(0.0, 0.7), 1.1),
+        (ProblemSpec(Theory.COULOMB, -1, 0.0, 1.3, ExtensionParam(-0.5)), 0.9),
+        # g > 0 away from the critical angles (-0.18 for m = 1, 0.52 for m = 0)
+        (_m1_spec(0.8, -1.2), 0.6),
+        (_m0_spec(1.0, 0.9), 1.4),
     ]
     for spec, e in cases:
         dens = coul_density(spec, e)
@@ -404,6 +412,11 @@ def test_green_symmetry_residual_jump(spec):
 def test_green_requires_upper_half_plane():
     with pytest.raises(ValidationError):
         coul_green(ProblemSpec(Theory.COULOMB, 2, -1.0), 1.0, 2.0, -0.5)
+    # every cell rejects a radius <= 0 with the same error
+    for spec in (ProblemSpec(Theory.COULOMB, 2, -1.0), _m1_spec(-1.0, 0.4), _m0_spec(1.0, 0.4)):
+        for x, y in ((0.0, 1.0), (1.0, -0.5)):
+            with pytest.raises(ValidationError, match="x must be positive"):
+                coul_green(spec, x, y, 0.5 + 0.5j)
 
 
 # ---------------------------------------------------------------- eigenfunctions

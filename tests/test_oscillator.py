@@ -251,6 +251,8 @@ def test_density_matches_resolvent_imag(rng):
         (ProblemSpec(Theory.OSCILLATOR, 1, 0.0), 2.0),
         (ProblemSpec(Theory.OSCILLATOR, 0, -2.0, 1.0, ExtensionParam(0.5)), -0.7),
         (ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 1.0, ExtensionParam(0.5)), 1.3),
+        (ProblemSpec(Theory.OSCILLATOR, 0, -2.0, 1.0, ExtensionParam(math.pi / 2)), -0.7),
+        (ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 1.0, ExtensionParam(math.pi / 2)), 1.3),
     ]
     for spec, e in cases:
         dens = osc_density(spec, e)
@@ -314,6 +316,16 @@ def test_green_requires_upper_half_plane():
     spec = ProblemSpec(Theory.OSCILLATOR, 2, 1.5)
     with pytest.raises(ValidationError):
         osc_green(spec, 1.0, 2.0, 3.0)
+    # every cell rejects a radius <= 0 with the same error
+    for spec in (
+        spec,
+        ProblemSpec(Theory.OSCILLATOR, 2, 0.0),
+        ProblemSpec(Theory.OSCILLATOR, 0, 1.5, 1.0, ExtensionParam(0.4)),
+        ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 1.0, ExtensionParam(0.4)),
+    ):
+        for u, v in ((0.0, 1.0), (1.0, -0.5)):
+            with pytest.raises(ValidationError, match="u must be positive"):
+                osc_green(spec, u, v, 0.5 + 0.5j)
 
 
 # ---------------------------------------------------------------- eigenfunctions
