@@ -105,6 +105,18 @@ def family_omega(f: complex, zeta: float, scale: float, kappa0: float) -> comple
     return scale * (f * s - c) / (kappa0 * (f * c + s))
 
 
+def one_minus_tanh(x: float) -> float:
+    """1 - tanh(x) = 2 / (1 + e^{2x}) to a few ulp for every real x; 1 + tanh(x)
+    is one_minus_tanh(-x).  The subtraction cancels once tanh(x) > 1/3, i.e.
+    e^{2x} > 2, so from there the quotient is used, as 2 e^{-2x} where e^{2x}
+    would overflow."""
+    if x < 0.5 * math.log(2.0):
+        return 1.0 - math.tanh(x)
+    if x > 354.0:
+        return 2.0 * math.exp(-2.0 * x)
+    return 2.0 / (1.0 + math.exp(2.0 * x))
+
+
 def family_density(re_f, parts, zeta: float, half_pi: bool):
     """E -> (1/pi) Im family_omega at E + i0 = rho / |f cos(zeta) + sin(zeta)|^2,
     where parts(E) gives the theory's closed forms (rho, Im f) at E + i0 and

@@ -287,7 +287,7 @@ def _coul_continuum(spec: ProblemSpec, cell: RegimeClass):
             return 0.0, 0.0
         p = math.sqrt(E)
         if not m1:
-            b0 = 1.0 - math.tanh(math.pi * g / (2.0 * p))
+            b0 = cf.one_minus_tanh(math.pi * g / (2.0 * p))
             return b0 / (2.0 * k0), 0.25 * math.pi * b0
         # Im f_1 = (pi g / kappa0) / expm1(pi g / p), regular at g = 0
         if g == 0.0:

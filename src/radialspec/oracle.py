@@ -121,7 +121,8 @@ def _power_channel(spec: ProblemSpec) -> float | None:
     return 0.5 * (1 + abs(spec.m))
 
 
-def _fd_solve(spec: ProblemSpec, nodes: np.ndarray, count: int) -> np.ndarray:
+def _fd_matrix(spec: ProblemSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of the symmetric tridiagonal FD operator."""
     h = nodes[1] - nodes[0]
     if not np.allclose(np.diff(nodes), h, rtol=1e-9):
         raise ValidationError("finite-difference oracle needs a uniform grid")
@@ -143,26 +144,70 @@ def _fd_solve(spec: ProblemSpec, nodes: np.ndarray, count: int) -> np.ndarray:
         diag = v_reg(u)
         diag[:-1] += half / (h * h * w[:-1])
         diag[1:] += half / (h * h * w[1:])
-        off = -half / (h * h * np.sqrt(w[:-1] * w[1:]))
-        vals = eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
-        )
-        return vals
+        return diag, -half / (h * h * np.sqrt(w[:-1] * w[1:]))
     psi_as = _psi_as(spec)
     diag = 2.0 / h**2 + vpot(inner)
     # fold psi(u_0) = r psi(u_1) into the first retained row
     r = psi_as(float(inner[0]))[0] / psi_as(float(inner[1]))[0]
     diag = diag[1:]
     diag[0] = (2.0 - r) / h**2 + vpot(float(inner[1]))
-    off = np.full(len(diag) - 1, -1.0 / h**2)
-    vals = eigh_tridiagonal(
+    return diag, np.full(len(diag) - 1, -1.0 / h**2)
+
+
+# GridResolutionWarning fires when the Richardson estimate of the ground-level
+# error exceeds this, relative to max(1, |E|)
+_WARN_REL = 1e-3
+
+
+def _lowest(
+    diag: np.ndarray, off: np.ndarray, count: int, near: np.ndarray | None = None
+) -> np.ndarray:
+    """The `count` lowest eigenvalues of the tridiagonal (diag, off), to
+    dstebz's own absolute tolerance eps ||T||_1.
+
+    `near` holds estimates of the same levels (the half grid's). Then dstebz
+    bisects only the window (near[0] - pad, near[-1] + pad], pad = 10 times the
+    warning threshold, relative to max(1, |E|), instead of the whole Gershgorin
+    interval. A value-mode guard on (Gershgorin lower bound, window] must find
+    no eigenvalue, and the window must hold `count`; otherwise, or without an
+    estimate for every level, the levels are found by index."""
+    if near is not None and len(near) == count:
+        pad = lambda e: 10.0 * _WARN_REL * max(1.0, abs(e))
+        lo, hi = near[0] - pad(near[0]), near[-1] + pad(near[-1])
+        radius = np.abs(off)
+        lower = diag.copy()
+        lower[:-1] -= radius
+        lower[1:] -= radius
+        # nudged below the rounding of the bound, as dstebz nudges its own:
+        # the guard's range is half-open, so no eigenvalue may sit on its end.
+        # The guard only counts, so its tolerance is the whole range.
+        tnorm = max(diag.max(), -diag.min()) + 2.0 * radius.max()
+        floor = lower.min() - 2.1 * len(diag) * np.finfo(float).eps * tnorm
+        if floor >= lo or not eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="v", select_range=(floor, lo),
+            tol=lo - floor,
+        ).size:
+            vals = eigh_tridiagonal(
+                diag, off, eigvals_only=True, select="v", select_range=(lo, hi)
+            )
+            if len(vals) >= count:
+                return vals[:count]
+    return eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
     )
-    return vals
 
 
 def fd_eigenvalues(spec: ProblemSpec, grid: GridSpec, count: int) -> list[float]:
     """Lowest `count` eigenvalues of the discretized operator, sorted ascending.
+
+    Solve order: the half grid (every other node) is solved first, by index,
+    for the same levels. The full grid is then bisected by value only in a
+    window around them, padded by 10x the warning threshold below. A guard
+    call first checks that no eigenvalue lies below the window, so the
+    result is still exactly the `count` lowest eigenvalues, to dstebz's
+    absolute tolerance eps ||T||_1. If the guard finds one, or the window
+    holds fewer than `count`, the full grid is solved by index. A `count`
+    larger than the full grid's unknowns raises ValidationError.
 
     For pure-power boundary channels accuracy is best on a staggered grid
     with u_min = (u_max - u_min)/(points - 1)/2, i.e. half a spacing off the
@@ -174,10 +219,14 @@ def fd_eigenvalues(spec: ProblemSpec, grid: GridSpec, count: int) -> list[float]
     nodes = grid.nodes()
     if grid.log_spacing:
         raise ValidationError("finite-difference oracle supports linear spacing only")
-    vals = _fd_solve(spec, nodes, count)
-    coarse = _fd_solve(spec, nodes[::2], min(count, 1))
+    diag, off = _fd_matrix(spec, nodes)
+    if count > len(diag):
+        raise ValidationError(f"count {count} exceeds the grid's {len(diag)} unknowns")
+    half_diag, half_off = _fd_matrix(spec, nodes[::2])
+    coarse = _lowest(half_diag, half_off, min(count, len(half_diag)))
+    vals = _lowest(diag, off, count, near=coarse)
     err_est = abs(vals[0] - coarse[0]) / 3.0  # second-order Richardson
-    if err_est > 1e-3 * max(1.0, abs(vals[0])):
+    if err_est > _WARN_REL * max(1.0, abs(vals[0])):
         warnings.warn(
             f"grid too coarse: estimated ground-level error {err_est:.3g}",
             GridResolutionWarning,

@@ -232,7 +232,7 @@ def _density_m_neg(m: int, lam: float, kappa0: float):
             return q * core / (4.0 * kappa0 * gb2)
         j = n // 2
         q = scale * math.prod(((l + 0.5) ** 2 + et * et) for l in range(j))
-        return q * (1.0 + math.tanh(math.pi * et)) / (4.0 * kappa0 * gb2)
+        return q * cf.one_minus_tanh(-math.pi * et) / (4.0 * kappa0 * gb2)
 
     return density
 
@@ -276,7 +276,7 @@ def _osc_levels(spec: ProblemSpec, cell: RegimeClass):
         pole = lambda j: sq * (1 + 2 * j)
 
         def root(k: int) -> tuple[float, float]:
-            e = cf.ladder_root(h, pole, k, 1e-14)
+            e = cf.ladder_root(h, pole, k, 1e-300)
             # weight: residue of -(1/(pi k0 cos^2 z)) Im 1/(f + tan z)
             fprime = sf.trigamma(osc_parameters(0, e, lam).alpha.real) / (8.0 * math.sqrt(lam))
             return e, 1.0 / (k0 * math.cos(zeta) ** 2 * fprime)
@@ -303,7 +303,7 @@ def _osc_continuum(spec: ProblemSpec, cell: RegimeClass):
 
         def parts(E: float) -> tuple[float, float]:
             # Im f(E + i0) = (pi/4)(1 + tanh(pi E / 4 sqrt|lambda|)), as in _density_m_neg
-            half = 1.0 + math.tanh(math.pi * E / (4.0 * root))
+            half = cf.one_minus_tanh(-math.pi * E / (4.0 * root))
             return half / (4.0 * k0), 0.25 * math.pi * half
 
         re_f = lambda E: osc_family_function(E, lam, k0).real

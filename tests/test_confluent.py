@@ -6,6 +6,7 @@ import cmath
 import math
 import random
 import statistics
+import sys
 
 import mpmath as mp
 import pytest
@@ -156,3 +157,14 @@ def test_moved_ladder_brackets_are_no_further_from_mpmath_roots():
                 old_err.append(float(abs((e_old - root) / root)))
     assert max(new_err) <= max(old_err)
     assert statistics.median(new_err) <= statistics.median(old_err)
+
+
+@pytest.mark.parametrize(
+    "x", [-400.0, -3.0, -0.2, 0.0, 0.2, 0.5 * math.log(2.0), 0.4, 1.0, 19.0, 354.5, 400.0]
+)
+def test_one_minus_tanh_against_mpmath(x):
+    # 1 - tanh(x) loses every digit to cancellation as x grows; past x ~ 355
+    # e^{2x} overflows a double, while the answer only underflows (to 0 at 400)
+    with mp.workdps(40):
+        ref = 2 / (1 + mp.exp(2 * mp.mpf(x)))
+        assert abs(_confluent.one_minus_tanh(x) - ref) <= 4 * sys.float_info.epsilon * ref + 5e-324

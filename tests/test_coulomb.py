@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
@@ -357,6 +358,37 @@ def test_density_matches_resolvent_imag():
         extr = 2.0 * f2 - f1
         assert abs(extr - dens) < 1e-5 * max(1.0, dens)
         assert coul_density(spec, -1.0) == 0.0
+
+
+def _mp_m0_density(spec, E):
+    """(1/pi) Im Omega(E + i0) of the m = 0 family at 40 digits, through
+    mpmath's digamma."""
+    with mp.workdps(40):
+        g, k0 = mp.mpf(spec.coupling), mp.mpf(spec.kappa0)
+        K = mp.sqrt(E) * mp.expj(-mp.pi / 2)  # sqrt(-E - i0)
+        f = mp.digamma(1) - mp.digamma(0.5 + g / (2 * K)) / 2 - mp.log(2 * K / k0) / 2
+        half_pi = spec.extension.is_half_pi
+        s, c = (1, 0) if half_pi else (mp.sin(spec.zeta), mp.cos(spec.zeta))
+        return mp.im((2 / k0) * (f * s - c) / (f * c + s)) / mp.pi
+
+
+@pytest.mark.parametrize(
+    "spec, E",
+    [
+        # below the repulsive barrier 1 - tanh(pi g / 2 sqrt E) cancelled: 0.0 at
+        # E = 0.06 (against 1.9e-17) and 1e-4 off at E = 0.1
+        (_m0_spec(3.0, math.pi / 2), 0.06),
+        (_m0_spec(3.0, math.pi / 2), 0.1),
+        (_m0_spec(3.0, 1.2), 0.06),
+        (_m0_spec(1.0, math.pi / 2), 0.5),
+        # no cancellation
+        (_m0_spec(-1.5, 0.3, k0=0.7), 0.8),
+        (_m0_spec(0.5, math.pi / 2), 3.0),
+    ],
+)
+def test_m0_density_below_the_barrier_against_mpmath(spec, E):
+    ref = _mp_m0_density(spec, E)
+    assert abs(coul_density(spec, E) - ref) <= 1e-12 * ref
 
 
 def test_density_solves_no_atom(monkeypatch):

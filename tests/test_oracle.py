@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from radialspec import oracle
 from radialspec.core import (
     ExtensionParam,
     ProblemSpec,
@@ -11,6 +13,7 @@ from radialspec.core import (
 )
 from radialspec.oracle import (
     GridResolutionWarning,
+    _fd_matrix,
     _potential,
     _propagator,
     GridSpec,
@@ -123,6 +126,110 @@ def test_potential_on_an_array_matches_pointwise(spec):
     nodes = np.linspace(1e-3, 15.0, 40000)
     vpot = _potential(spec)
     assert np.array_equal(vpot(nodes), np.array([vpot(u) for u in nodes]))
+
+
+# ---------------------------------------------------------------- window solve
+
+
+def _record_solves(monkeypatch):
+    """Patch the oracle's eigensolver to log (matrix size, select) per call."""
+    calls = []
+    solve = oracle.eigh_tridiagonal
+
+    def recorded(d, e, **kwargs):
+        calls.append((len(d), kwargs["select"]))
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recorded)
+    return calls
+
+
+def _by_index(spec, grid, count):
+    """The full grid's `count` lowest levels by index, as every FD solve
+    once found them, and dstebz's absolute tolerance eps ||T||_1."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, off = _fd_matrix(spec, grid.nodes())
+    vals = eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
+    )
+    col = np.abs(diag)
+    col[:-1] += np.abs(off)
+    col[1:] += np.abs(off)
+    return vals, np.finfo(float).eps * col.max()
+
+
+def _fd_quiet(spec, grid, count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridResolutionWarning)
+        return fd_eigenvalues(spec, grid, count)
+
+
+def test_fd_rejects_a_count_above_the_unknowns(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
+    with pytest.raises(ValidationError, match="exceeds"):
+        fd_eigenvalues(spec, GridSpec(0.04, 8.0, 101), 150)
+    assert calls == []  # rejected before any solve
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize(
+    "spec, grid",
+    [
+        # pure-power flux path: a unique cell and a family member at zeta = pi/2
+        (ProblemSpec(Theory.OSCILLATOR, 1, 1.0), _staggered(9.0, 4001)),
+        (ProblemSpec(Theory.COULOMB, 2, -1.0), _staggered(70.0, 4001)),
+        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), _staggered(40.0, 4001)),
+        (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(math.pi / 2)), _staggered(9.0, 4001)),
+        # ghost-node path, log-mixed family cells: the first takes the window
+        # at count 2 and 3 and finds it short at count 1; the second falls back
+        (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7)), GridSpec(1e-2, 9.0, 151)),
+        (ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, ExtensionParam(0.35)), GridSpec(1e-3, 40.0, 4001)),
+    ],
+    ids=["osc-unique", "coul-unique", "coul-m0-half-pi", "osc-m0-half-pi", "osc-m0-log", "coul-m1-log"],
+)
+def test_window_solve_matches_the_index_solve(spec, grid, count):
+    ref, tol = _by_index(spec, grid, count)
+    vals = _fd_quiet(spec, grid, count)
+    assert len(vals) == count
+    assert np.max(np.abs(np.array(vals) - ref)) <= 4.0 * tol
+
+
+def test_unwarned_solve_bisects_the_full_grid_only_in_the_window(monkeypatch):
+    # a timing-free check that the window is really used: one index solve on
+    # the half grid, then the guard and the window by value on the full grid
+    calls = _record_solves(monkeypatch)
+    spec = ProblemSpec(Theory.COULOMB, 2, -1.0)
+    grid = _staggered(70.0, 5001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GridResolutionWarning)
+        fd_eigenvalues(spec, grid, 2)
+    assert calls == [(2500, "i"), (5000, "v"), (5000, "v")]
+
+
+def test_window_falls_back_when_the_level_moves_past_the_pad(monkeypatch):
+    # a 201-point grid in a log-mixed cell: the full grid's ground level sits
+    # far below the half grid's, so the guard finds it and the solve is by index
+    calls = _record_solves(monkeypatch)
+    spec = ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7))
+    grid = GridSpec(1e-2, 9.0, 201)
+    with pytest.warns(GridResolutionWarning):
+        vals = fd_eigenvalues(spec, grid, 1)
+    assert calls == [(99, "i"), (199, "v"), (199, "i")]
+    coarse = _fd_quiet(spec, GridSpec(1e-2, 9.0, 101), 1)
+    assert abs(vals[0] - coarse[0]) > 1e-2 * max(1.0, abs(coarse[0]))
+    assert np.array_equal(vals, _by_index(spec, grid, 1)[0])
+
+
+def test_window_falls_back_when_the_half_grid_has_too_few_levels(monkeypatch):
+    # 101 nodes: 100 unknowns on the full grid, 50 on the half grid
+    calls = _record_solves(monkeypatch)
+    spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
+    grid = GridSpec(0.04, 8.0, 101)
+    vals = _fd_quiet(spec, grid, 60)
+    assert calls == [(50, "i"), (100, "i")]
+    assert np.array_equal(vals, _by_index(spec, grid, 60)[0])
 
 
 # ---------------------------------------------------------------- shooting

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
@@ -225,6 +226,24 @@ def test_m0_family_weight_matches_numeric_root_slope():
     assert abs(w0 - 1.0 / (k0 * math.cos(zeta) ** 2 * fp)) < 1e-6 * w0
 
 
+def test_m0_ladder_level_near_zero_is_solved_to_a_relative_tolerance():
+    # zeta picked so that E_0 = 3e-4: an absolute xtol of 1e-14 stopped the
+    # solver 6e-13 relative short of the family function's sign change
+    lam, k0 = 1.0, 1.0
+    zeta = math.atan(-osc_family_function(3e-4, lam, k0).real)
+    e0 = osc_spectrum(ProblemSpec(Theory.OSCILLATOR, 0, lam, k0, ExtensionParam(zeta)), 1).discrete[0][0]
+    h = lambda E: osc_family_function(E, lam, k0).real + math.tan(zeta)  # increasing
+    assert h(e0 * (1.0 - 1e-14)) <= 0.0 <= h(e0 * (1.0 + 1e-14))
+    # the 40-digit root of the same function: the double family function's own
+    # rounding (~1e-16 absolute) bounds any solver to ~3e-13 relative here
+    with mp.workdps(40):
+        vk = mp.mpf(lam) ** 0.25
+        target = mp.mpf(-math.tan(zeta))
+        h_mp = lambda E: mp.log(k0 / vk) + mp.digamma(1) - mp.digamma(0.5 - E / (4 * vk * vk)) / 2 - target
+        root = mp.findroot(h_mp, mp.mpf(e0))
+        assert abs(e0 - root) < 1e-12 * root
+
+
 def test_m0_free_bound_state():
     # lambda = 0, |zeta| < pi/2: single atom at -4 k0^2 e^{2(tan z - gamma)}
     k0, zeta = 1.0, -0.3
@@ -261,6 +280,44 @@ def test_density_matches_resolvent_imag(rng):
         f2 = osc_spectral_omega(spec, complex(e, eps / 2)).imag / math.pi
         extr = 2.0 * f2 - f1
         assert abs(extr - dens) < 1e-5 * max(1.0, dens)
+
+
+def _mp_density(spec, E):
+    """(1/pi) Im Omega(E + i0) at 40 digits through mpmath's digamma, for
+    lambda < 0: the m = 0 family and the |m| >= 1 unique cell."""
+    with mp.workdps(40):
+        lam, k0, n = mp.mpf(spec.coupling), mp.mpf(spec.kappa0), abs(spec.m)
+        vk = mp.sqrt(mp.sqrt(-lam) * mp.expj(-mp.pi / 2))
+        a = mp.mpf(1 + n) / 2 - E / (4 * vk * vk)
+        if n == 0:
+            f = mp.log(k0 / vk) + mp.digamma(1) - mp.digamma(a) / 2
+            half_pi = spec.extension.is_half_pi
+            s, c = (1, 0) if half_pi else (mp.sin(spec.zeta), mp.cos(spec.zeta))
+            omega = (f * s - c) / (k0 * (f * c + s))
+        else:
+            b = ((-1) ** (n + 1) / (2 * mp.factorial(n)) * mp.rgamma(a - n)
+                 * (mp.digamma(a - n) + mp.digamma(a) - 4 * mp.log(k0 / vk)))
+            omega = b / (2 * k0 * n * (k0 / vk) ** (2 * n) * mp.factorial(n - 1) * mp.rgamma(a))
+        return mp.im(omega) / mp.pi
+
+
+@pytest.mark.parametrize(
+    "spec, E",
+    [
+        # deep in the lambda < 0 tail 1 + tanh(pi E / 4 sqrt|lambda|) cancelled to 0
+        (ProblemSpec(Theory.OSCILLATOR, 0, -0.5, 1.0, ExtensionParam(math.pi / 2)), -20.0),
+        (ProblemSpec(Theory.OSCILLATOR, 0, -0.5, 1.0, ExtensionParam(0.4)), -20.0),
+        (ProblemSpec(Theory.OSCILLATOR, 2, -0.5), -20.0),
+        (ProblemSpec(Theory.OSCILLATOR, 0, -0.5, 1.0, ExtensionParam(math.pi / 2)), -3.0),
+        (ProblemSpec(Theory.OSCILLATOR, 2, -0.5), -3.0),
+        # no cancellation
+        (ProblemSpec(Theory.OSCILLATOR, 0, -2.0, 1.3, ExtensionParam(-0.6)), 0.4),
+        (ProblemSpec(Theory.OSCILLATOR, 2, -2.0), 1.5),
+    ],
+)
+def test_density_tail_against_mpmath(spec, E):
+    ref = _mp_density(spec, E)
+    assert abs(osc_density(spec, E) - ref) <= 1e-12 * ref
 
 
 def test_density_m_neg_regular_at_zero():
