@@ -42,6 +42,10 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> np.ndarray:
     return eigh(d, e, **kwargs)
 
 
+# GridSpec's fewest points; the FD cascade halves its grids down to this
+_MIN_POINTS = 100
+
+
 class GridResolutionWarning(UserWarning):
     """The grid is too coarse for the requested accuracy."""
 
@@ -58,8 +62,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (0 < self.u_min < self.u_max):
             raise ValidationError("need 0 < u_min < u_max")
-        if self.points < 100:
-            raise ValidationError("need at least 100 grid points")
+        if self.points < _MIN_POINTS:
+            raise ValidationError(f"need at least {_MIN_POINTS} grid points")
 
     def nodes(self) -> np.ndarray:
         if self.log_spacing:
@@ -157,75 +161,163 @@ def _fd_matrix(spec: ProblemSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.nda
 # GridResolutionWarning fires when the Richardson estimate of the ground-level
 # error exceeds this, relative to max(1, |E|)
 _WARN_REL = 1e-3
+# inverse-iteration sweeps allowed per level before a grid is solved by index
+_MAX_SWEEPS = 30
+# the certificates widen each residual bound by this many eps ||T||_1: the
+# rounding that a factorization, a solve or a Sturm count may carry
+_SLACK = 4.0
+
+
+def _refine(
+    diag: np.ndarray, off: np.ndarray, guess: np.ndarray, spread: np.ndarray
+) -> np.ndarray | None:
+    """The lowest len(guess) eigenvalues of the tridiagonal (diag, off), by
+    shift-invert iteration from the estimates `guess` (uncertainty `spread`),
+    each with residual <= eps ||T||_1; None when a certificate fails.
+
+    Level 0 iterates with the LDL^T factorization of T - sigma, sigma =
+    guess - spread, lowered in doubling steps until the factorization exists:
+    it proves lambda_0 > sigma, so the iteration finds lambda_0. A second
+    factorization at theta - r - slack proves that nothing lies below the
+    level's residual interval. Higher levels iterate with the LU factorization
+    at their estimates. Their residual intervals must be disjoint and
+    increasing, and a Sturm count must find exactly len(guess) eigenvalues
+    from the ground bound to the top interval's end: then the intervals hold
+    the lowest levels, one each."""
+    from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+
+    tnorm = np.abs(diag).max() + 2.0 * np.abs(off).max()  # >= ||T||_1
+    tol = np.finfo(float).eps * tnorm
+    slack = _SLACK * tol
+    x0 = np.full(len(diag), 1.0 / math.sqrt(len(diag)))
+
+    def iterate(solve, sigma: float) -> tuple[float, float] | None:
+        """(theta, r + slack) once the residual r <= tol, within _MAX_SWEEPS."""
+        x = x0
+        for _ in range(_MAX_SWEEPS):
+            y = solve(x)
+            norm = math.sqrt(y @ y)
+            mu = (x @ y) / (norm * norm)
+            r = np.linalg.norm(x - mu * y) / norm
+            if r <= tol:
+                return sigma + mu, r + slack
+            x = y / norm
+        return None
+
+    sigma, step = guess[0] - spread[0], max(spread[0], tol)
+    while True:
+        ldl_d, ldl_e, info = dpttrf(diag - sigma, off)
+        if not info:
+            break
+        if not sigma >= -tnorm:  # no eigenvalue lies below -||T||: T is not finite
+            return None
+        sigma, step = sigma - step, 2.0 * step
+    level = iterate(lambda x: dpttrs(ldl_d, ldl_e, x)[0], sigma)
+    if level is None:
+        return None
+    floor = level[0] - level[1]
+    if dpttrf(diag - floor, off)[2]:
+        return None
+    thetas, top = [level[0]], level[0] + level[1]
+    for g in guess[1:]:
+        *lu, info = dgttrf(off, diag - g, off)
+        if info:
+            return None
+        level = iterate(lambda x: dgttrs(*lu, x)[0], g)
+        if level is None or level[0] - level[1] <= top:
+            return None
+        thetas.append(level[0])
+        top = level[0] + level[1]
+    # the count's tolerance is its whole range: it bisects nothing
+    if len(thetas) > 1 and eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="v", select_range=(floor, top),
+        tol=top - floor,
+    ).size != len(thetas):
+        return None
+    return np.array(thetas)
 
 
 def _lowest(
-    diag: np.ndarray, off: np.ndarray, count: int, near: np.ndarray | None = None
+    diag: np.ndarray,
+    off: np.ndarray,
+    count: int,
+    guess: np.ndarray | None = None,
+    spread: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The `count` lowest eigenvalues of the tridiagonal (diag, off), to
-    dstebz's own absolute tolerance eps ||T||_1.
-
-    `near` holds estimates of the same levels (the half grid's). Then dstebz
-    bisects only the window (near[0] - pad, near[-1] + pad], pad = 10 times the
-    warning threshold, relative to max(1, |E|), instead of the whole Gershgorin
-    interval. A value-mode guard on (Gershgorin lower bound, window] must find
-    no eigenvalue, and the window must hold `count`; otherwise, or without an
-    estimate for every level, the levels are found by index."""
-    if near is not None and len(near) == count:
-        pad = lambda e: 10.0 * _WARN_REL * max(1.0, abs(e))
-        lo, hi = near[0] - pad(near[0]), near[-1] + pad(near[-1])
-        radius = np.abs(off)
-        lower = diag.copy()
-        lower[:-1] -= radius
-        lower[1:] -= radius
-        # nudged below the rounding of the bound, as dstebz nudges its own:
-        # the guard's range is half-open, so no eigenvalue may sit on its end.
-        # The guard only counts, so its tolerance is the whole range.
-        tnorm = max(diag.max(), -diag.min()) + 2.0 * radius.max()
-        floor = lower.min() - 2.1 * len(diag) * np.finfo(float).eps * tnorm
-        if floor >= lo or not eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="v", select_range=(floor, lo),
-            tol=lo - floor,
-        ).size:
-            vals = eigh_tridiagonal(
-                diag, off, eigvals_only=True, select="v", select_range=(lo, hi)
-            )
-            if len(vals) >= count:
-                return vals[:count]
+    """The `count` lowest eigenvalues of the tridiagonal (diag, off): refined
+    from `guess` when it estimates every level and the certificates hold,
+    otherwise found by index (dstebz, absolute tolerance eps ||T||_1)."""
+    if guess is not None and len(guess) == count:
+        vals = _refine(diag, off, guess, spread)
+        if vals is not None:
+            return vals
     return eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
     )
 
 
+def _predict(solved: list[np.ndarray]) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(estimate, uncertainty) of the next finer grid's levels from the
+    levels of the grids below it, finest last. With two grids, Richardson
+    E_2h + (E_2h - E_4h)/4 within |E_2h - E_4h|; a level the grid below
+    does not have, or a single grid, gets E_2h within 10x the warning
+    threshold, relative to max(1, |E|)."""
+    if not solved:
+        return None, None
+    fine = solved[-1]
+    guess = fine.copy()
+    spread = 10.0 * _WARN_REL * np.maximum(1.0, np.abs(fine))
+    if len(solved) > 1:
+        k = min(len(fine), len(solved[-2]))
+        step = fine[:k] - solved[-2][:k]
+        guess[:k] += step / 4.0
+        spread[:k] = np.abs(step)
+    return guess, spread
+
+
 def fd_eigenvalues(spec: ProblemSpec, grid: GridSpec, count: int) -> list[float]:
     """Lowest `count` eigenvalues of the discretized operator, sorted ascending.
 
-    Solve order: the half grid (every other node) is solved first, by index,
-    for the same levels. The full grid is then bisected by value only in a
-    window around them, padded by 10x the warning threshold below. A guard
-    call first checks that no eigenvalue lies below the window, so the
-    result is still exactly the `count` lowest eigenvalues, to dstebz's
-    absolute tolerance eps ||T||_1. If the guard finds one, or the window
-    holds fewer than `count`, the full grid is solved by index. A `count`
-    larger than the full grid's unknowns raises ValidationError.
+    The levels are solved on a cascade of similar grids: the output grid, its
+    half grid with (points + 1) // 2 nodes, that grid's half, and so on, down
+    to the coarsest grid with at least 100 nodes (the half grid is always
+    solved). Every grid ends at u_max and keeps the first node's offset
+    c = u_min / h in its own spacing, u_min' = c u_max / (points' - 1 + c), so
+    a staggered grid stays staggered. Only the coarsest grid is solved by
+    index (dstebz). Each finer grid refines the levels the grids below it
+    predict by shift-invert iteration, and certifies them: an LDL^T
+    factorization below the ground level proves nothing lies under it, the
+    residual intervals are disjoint, and a Sturm count finds exactly `count`
+    eigenvalues up to the top one. So the result is the `count` lowest
+    eigenvalues of the output grid to dstebz's absolute tolerance eps ||T||_1,
+    give or take the few eps ||T||_1 of rounding that dstebz's own Sturm
+    counts carry too. A grid whose certificate fails, or whose grid below has
+    fewer levels, is solved by index. A `count` larger than the output
+    grid's unknowns raises ValidationError.
 
     For pure-power boundary channels accuracy is best on a staggered grid
     with u_min = (u_max - u_min)/(points - 1)/2, i.e. half a spacing off the
-    singular endpoint. Emits GridResolutionWarning when a half-resolution
-    Richardson estimate puts the ground-level discretization error above
-    1e-3 relative."""
+    singular endpoint. Emits GridResolutionWarning when a half-grid Richardson
+    estimate puts the ground-level discretization error above 1e-3
+    relative."""
     if count < 1:
         raise ValidationError("count must be >= 1")
-    nodes = grid.nodes()
     if grid.log_spacing:
         raise ValidationError("finite-difference oracle supports linear spacing only")
-    diag, off = _fd_matrix(spec, nodes)
+    diag, off = _fd_matrix(spec, grid.nodes())
     if count > len(diag):
         raise ValidationError(f"count {count} exceeds the grid's {len(diag)} unknowns")
-    half_diag, half_off = _fd_matrix(spec, nodes[::2])
-    coarse = _lowest(half_diag, half_off, min(count, len(half_diag)))
-    vals = _lowest(diag, off, count, near=coarse)
-    err_est = abs(vals[0] - coarse[0]) / 3.0  # second-order Richardson
+    c = grid.u_min * (grid.points - 1) / (grid.u_max - grid.u_min)  # u_min / h
+    sizes = [(grid.points + 1) // 2]
+    while (sizes[-1] + 1) // 2 >= _MIN_POINTS:
+        sizes.append((sizes[-1] + 1) // 2)
+    solved = []
+    for points in reversed(sizes):
+        nodes = np.linspace(c * grid.u_max / (points - 1 + c), grid.u_max, points)
+        d, e = _fd_matrix(spec, nodes)
+        solved.append(_lowest(d, e, min(count, len(d)), *_predict(solved)))
+    vals = _lowest(diag, off, count, *_predict(solved))
+    err_est = abs(vals[0] - solved[-1][0]) / 3.0  # second-order Richardson
     if err_est > _WARN_REL * max(1.0, abs(vals[0])):
         warnings.warn(
             f"grid too coarse: estimated ground-level error {err_est:.3g}",

@@ -128,19 +128,37 @@ def test_potential_on_an_array_matches_pointwise(spec):
     assert np.array_equal(vpot(nodes), np.array([vpot(u) for u in nodes]))
 
 
-# ---------------------------------------------------------------- window solve
+# ---------------------------------------------------------------- cascade solve
 
 
 def _record_solves(monkeypatch):
-    """Patch the oracle's eigensolver to log (matrix size, select) per call."""
+    """Patch the oracle's eigensolver and the LAPACK factorizations it uses
+    to log (routine or select, matrix size) per call, and the refinement to
+    log (matrix size, "ok" or "fail")."""
+    import scipy.linalg.lapack as lapack
+
     calls = []
     solve = oracle.eigh_tridiagonal
 
     def recorded(d, e, **kwargs):
-        calls.append((len(d), kwargs["select"]))
+        calls.append((kwargs["select"], len(d)))
         return solve(d, e, **kwargs)
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", recorded)
+    for name in ("dpttrf", "dgttrf"):
+        def factor(*args, _name=name, _f=getattr(lapack, name)):
+            calls.append((_name, max(len(a) for a in args)))  # the diagonal
+            return _f(*args)
+
+        monkeypatch.setattr(lapack, name, factor)
+    refine = oracle._refine
+
+    def refined(d, *args):
+        vals = refine(d, *args)
+        calls.append((len(d), "fail" if vals is None else "ok"))
+        return vals
+
+    monkeypatch.setattr(oracle, "_refine", refined)
     return calls
 
 
@@ -170,10 +188,10 @@ def test_fd_rejects_a_count_above_the_unknowns(monkeypatch):
     spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
     with pytest.raises(ValidationError, match="exceeds"):
         fd_eigenvalues(spec, GridSpec(0.04, 8.0, 101), 150)
-    assert calls == []  # rejected before any solve
+    assert calls == []  # rejected before any solve or factorization
 
 
-@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
 @pytest.mark.parametrize(
     "spec, grid",
     [
@@ -182,12 +200,13 @@ def test_fd_rejects_a_count_above_the_unknowns(monkeypatch):
         (ProblemSpec(Theory.COULOMB, 2, -1.0), _staggered(70.0, 4001)),
         (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), _staggered(40.0, 4001)),
         (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(math.pi / 2)), _staggered(9.0, 4001)),
-        # ghost-node path, log-mixed family cells: the first takes the window
-        # at count 2 and 3 and finds it short at count 1; the second falls back
+        (ProblemSpec(Theory.OSCILLATOR, 1, 1.0), _staggered(9.0, 40001)),
+        # ghost-node path, log-mixed family cells, where the levels move far
+        # from grid to grid and the predictions are poor
         (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7)), GridSpec(1e-2, 9.0, 151)),
         (ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, ExtensionParam(0.35)), GridSpec(1e-3, 40.0, 4001)),
     ],
-    ids=["osc-unique", "coul-unique", "coul-m0-half-pi", "osc-m0-half-pi", "osc-m0-log", "coul-m1-log"],
+    ids=["osc-unique", "coul-unique", "coul-m0-half-pi", "osc-m0-half-pi", "osc-unique-40001", "osc-m0-log", "coul-m1-log"],
 )
 def test_window_solve_matches_the_index_solve(spec, grid, count):
     ref, tol = _by_index(spec, grid, count)
@@ -196,40 +215,153 @@ def test_window_solve_matches_the_index_solve(spec, grid, count):
     assert np.max(np.abs(np.array(vals) - ref)) <= 4.0 * tol
 
 
-def test_unwarned_solve_bisects_the_full_grid_only_in_the_window(monkeypatch):
-    # a timing-free check that the window is really used: one index solve on
-    # the half grid, then the guard and the window by value on the full grid
+def test_unwarned_solve_indexes_only_the_coarsest_grid(monkeypatch):
+    # a timing-free check that the cascade is really used: 5001 nodes halve to
+    # 2501, 1251, 626, 313 and 157 (79 would be under GridSpec's minimum); only
+    # the 157-node grid is solved by index, every finer one is refined and
+    # certified by one Sturm count
     calls = _record_solves(monkeypatch)
     spec = ProblemSpec(Theory.COULOMB, 2, -1.0)
     grid = _staggered(70.0, 5001)
     with warnings.catch_warnings():
         warnings.simplefilter("error", GridResolutionWarning)
         fd_eigenvalues(spec, grid, 2)
-    assert calls == [(2500, "i"), (5000, "v"), (5000, "v")]
+    assert [c for c in calls if c[0] == "i"] == [("i", 156)]
+    refined = [312, 625, 1250, 2500, 5000]
+    assert [c for c in calls if c[0] == "v"] == [("v", n) for n in refined]
+    assert [c for c in calls if c[1] == "ok"] == [(n, "ok") for n in refined]
+    # two LDL^T factorizations (shift and certificate) and one LU per grid
+    for n in refined:
+        assert calls.count(("dpttrf", n)) == 2
+        assert calls.count(("dgttrf", n)) == 1
 
 
-def test_window_falls_back_when_the_level_moves_past_the_pad(monkeypatch):
-    # a 201-point grid in a log-mixed cell: the full grid's ground level sits
-    # far below the half grid's, so the guard finds it and the solve is by index
+@pytest.mark.parametrize("points, failures", [(201, 0), (4001, 2)])
+def test_grids_whose_certificate_fails_are_solved_by_index(monkeypatch, points, failures):
+    # log-mixed cell: the FD ground level does not converge and climbs from
+    # grid to grid (-3.5 at 101 nodes, -1.2 at 201; -172, -16, -9.1 at 125,
+    # 249 and 499 nodes of the second cascade), so each ground shift sits far
+    # below its level. The iteration converges slowly, and on the 249- and
+    # 499-node grids it runs out of sweeps: those grids are indexed
     calls = _record_solves(monkeypatch)
     spec = ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7))
-    grid = GridSpec(1e-2, 9.0, 201)
+    grid = GridSpec(1e-2, 9.0, points)
     with pytest.warns(GridResolutionWarning):
         vals = fd_eigenvalues(spec, grid, 1)
-    assert calls == [(99, "i"), (199, "v"), (199, "i")]
-    coarse = _fd_quiet(spec, GridSpec(1e-2, 9.0, 101), 1)
-    assert abs(vals[0] - coarse[0]) > 1e-2 * max(1.0, abs(coarse[0]))
-    assert np.array_equal(vals, _by_index(spec, grid, 1)[0])
+    verdicts = {n: v for n, v in calls if v in ("ok", "fail")}
+    failed = [n for n, v in verdicts.items() if v == "fail"]
+    indexed = [n for sel, n in calls if sel == "i"]
+    assert len(failed) == failures
+    assert indexed == [min(indexed)] + failed
+    assert verdicts[points - 2] == "ok"
+    ref, tol = _by_index(spec, grid, 1)
+    assert abs(vals[0] - ref[0]) <= 4.0 * tol
 
 
-def test_window_falls_back_when_the_half_grid_has_too_few_levels(monkeypatch):
-    # 101 nodes: 100 unknowns on the full grid, 50 on the half grid
+def test_too_few_coarse_levels_index_both_grids(monkeypatch):
+    # 101 nodes: 100 unknowns on the full grid, 50 on the 51-node half grid
     calls = _record_solves(monkeypatch)
     spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
     grid = GridSpec(0.04, 8.0, 101)
     vals = _fd_quiet(spec, grid, 60)
-    assert calls == [(50, "i"), (100, "i")]
+    assert calls == [("i", 50), ("i", 100)]
     assert np.array_equal(vals, _by_index(spec, grid, 60)[0])
+
+
+_OSC = ProblemSpec(Theory.OSCILLATOR, 1, 1.0), _staggered(9.0, 2001)
+
+
+def _osc_matrix():
+    diag, off = _fd_matrix(_OSC[0], _OSC[1].nodes())
+    return diag, off, _by_index(*_OSC, 3)[0]
+
+
+def test_count_rejects_a_skipped_level(monkeypatch):
+    # level 1 predicted at lambda_2: its iteration converges to lambda_2, so the
+    # intervals are disjoint but the count finds 3 eigenvalues, not 2
+    diag, off, exact = _osc_matrix()
+    calls = _record_solves(monkeypatch)
+    vals = oracle._lowest(diag, off, 2, guess=exact[[0, 2]], spread=np.full(2, 1e-3))
+    assert calls == [
+        ("dpttrf", 2000), ("dpttrf", 2000), ("dgttrf", 2000), ("v", 2000),
+        (2000, "fail"), ("i", 2000),
+    ]
+    assert np.array_equal(vals, _by_index(*_OSC, 2)[0])
+
+
+def test_overlapping_intervals_reject_a_level_found_twice(monkeypatch):
+    # levels 1 and 2 both predicted at lambda_2: the count up to lambda_2 would
+    # find 3, so only the disjointness of the intervals can reject it
+    diag, off, exact = _osc_matrix()
+    calls = _record_solves(monkeypatch)
+    vals = oracle._lowest(diag, off, 3, guess=exact[[0, 2, 2]], spread=np.full(3, 1e-3))
+    assert calls == [
+        ("dpttrf", 2000), ("dpttrf", 2000), ("dgttrf", 2000), ("dgttrf", 2000),
+        (2000, "fail"), ("i", 2000),
+    ]
+    assert np.array_equal(vals, exact)
+
+
+def test_ground_shift_above_the_level_steps_down(monkeypatch):
+    # sigma halfway to lambda_1: the LDL^T factorization fails until sigma has
+    # stepped below lambda_0, and the iteration then finds lambda_0
+    diag, off, exact = _osc_matrix()
+    calls = _record_solves(monkeypatch)
+    import scipy.linalg.lapack as lapack
+
+    infos = []
+    factor = lapack.dpttrf
+
+    def logged(d, e):
+        out = factor(d, e)
+        infos.append(out[2])
+        return out
+
+    monkeypatch.setattr(lapack, "dpttrf", logged)
+    mid = 0.5 * (exact[0] + exact[1])
+    vals = oracle._lowest(diag, off, 1, guess=np.array([mid]), spread=np.array([0.1]))
+    assert infos[0] > 0 and infos[-2:] == [0, 0]
+    assert all(info > 0 for info in infos[:-2])
+    assert calls[-1] == (2000, "ok")
+    tol = np.finfo(float).eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
+    assert abs(vals[0] - exact[0]) <= 4.0 * tol
+
+
+def _richardson_estimate(monkeypatch, spec, grid):
+    """The solve's own ground-level Richardson estimate, read from the
+    warning it emits once the threshold is zero."""
+    monkeypatch.setattr(oracle, "_WARN_REL", 0.0)
+    with pytest.warns(GridResolutionWarning) as caught:
+        vals = fd_eigenvalues(spec, grid, 1)
+    return vals[0], float(str(caught[0].message).rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize(
+    "spec, u_max, closed",
+    [
+        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), 60.0, -1.0),
+        (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(math.pi / 2)), 15.0, 2.0),
+    ],
+    ids=["coul-m0-half-pi", "osc-m0-half-pi"],
+)
+@pytest.mark.parametrize("points", [4000, 4001])
+def test_richardson_half_grid_stays_staggered(monkeypatch, spec, u_max, closed, points):
+    # taking every other node broke the staggering (and, at an even count,
+    # ended the half grid at u_max - h): the estimate was 190x the true
+    # error in the Coulomb cell and a third of it in the oscillator cell
+    value, estimate = _richardson_estimate(monkeypatch, spec, _staggered(u_max, points))
+    error = abs(value - closed)
+    assert error / 2.0 <= estimate <= 2.0 * error
+
+
+def test_accurate_staggered_solve_does_not_warn():
+    # the CLI's verify grid for Coulomb m = 0 at zeta = pi/2 (4000 points):
+    # its true ground error is 5.6e-5, under the 1e-3 threshold
+    spec = ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GridResolutionWarning)
+        vals = fd_eigenvalues(spec, GridSpec(0.0075009376172021505, 60.0, 4000), 2)
+    assert abs(vals[0] + 1.0) < 1e-4
 
 
 # ---------------------------------------------------------------- shooting
