@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +19,7 @@ from radialspec.oracle import (
     _fd_matrix,
     _potential,
     _propagator,
+    _psi_as,
     GridSpec,
     compare_spectra,
     fd_eigenvalues,
@@ -445,15 +449,138 @@ def test_propagator_starts_from_an_exact_zero_component(a, b, y0):
     assert np.max(np.abs(got - ref)) < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # SciPy's own dop853 warning
-def test_shoot_failed_integration_raises(monkeypatch):
-    # the outward chunk off the singular edge takes ~76 steps, every later
-    # chunk (either direction) at most ~15: only the first one hits this cap,
-    # so a failure is caught chunk by chunk, not just at the end
-    monkeypatch.setattr("radialspec.oracle._MAX_STEPS", 30)
+def test_shoot_capped_refinement_raises(monkeypatch):
+    # 16 and 32 cells a span miss the root tolerance 1e-10 max(1, |E|) at the
+    # bracket (3.6, 4.4) by orders of magnitude, and no doubling is allowed
+    monkeypatch.setattr("radialspec.oracle._CELLS", 16)
+    monkeypatch.setattr("radialspec.oracle._MAX_DOUBLINGS", 0)
     spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
-    with pytest.raises(ValidationError, match="return code -2"):
+    with pytest.raises(ValidationError, match=r"missed its tolerance 3\.6e-10 at 32 cells"):
         shoot_eigenvalue(spec, _bracket(4.0))
+
+
+def _dop853(vpot, E, edges, y0):
+    """(psi, psi') at edges[-1] / max|.|, by solve_ivp's DOP853 from edges[0]
+    at rtol 1e-12, renormalised at every edge."""
+    from scipy.integrate import solve_ivp
+
+    y = np.array(y0, dtype=float)
+    for a, b in zip(edges[:-1], edges[1:]):
+        y = solve_ivp(
+            lambda u, y: [y[1], (vpot(u) - E) * y[0]], (a, b), y,
+            method="DOP853", rtol=1e-12, atol=1e-300,
+        ).y[:, -1]
+        y = y / np.abs(y).max()
+    return y
+
+
+@pytest.mark.parametrize(
+    "vpot, E, edges, y0",
+    [
+        # inward through the oscillator barrier: the solution grows by ~e^800
+        (_potential(ProblemSpec(Theory.OSCILLATOR, 1, 1.0)), 5.0, np.linspace(40.0, 2.0, 39),
+         [1.0, -math.sqrt(40.0**2 + 0.75 / 40.0**2 - 5.0)]),
+        # E > V on (2, 4), cos/sin cells; q = V - E vanishes identically on
+        # (1, 2), where every cell has s^2 = 0 exactly
+        (lambda u: np.where(u < 2.0, 3.0, 3.0 - (u - 2.0) ** 2), 3.0, [4.0, 3.0, 2.0, 1.0],
+         [0.3, -1.0]),
+    ],
+    ids=["barrier_e800", "allowed_and_flat"],
+)
+def test_propagator_is_robust(vpot, E, edges, y0):
+    got = _propagator(vpot, edges[0], edges[-1])(E, y0)
+    assert np.all(np.isfinite(got)) and np.abs(got).max() == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(got - _dop853(vpot, E, edges, y0))) < 1e-8
+
+
+# one seeded spec from each shooting cell of the benchmark's oracle workload,
+# with an explicit u_max, and the shot of the former shooting integrator
+# (scipy.integrate.ode's DOP853 at rtol 1e-10)
+_BENCH_SHOTS = [
+    (ProblemSpec(Theory.OSCILLATOR, 1, 0.9536424064899396), 7.0, 3.90618464795321),
+    (ProblemSpec(Theory.OSCILLATOR, 0, 1.0037040189323811, 1.0, ExtensionParam(0.3439028378692276)),
+     7.0, -2.3593212461458832),
+    (ProblemSpec(Theory.COULOMB, 1, -1.0122917303879742, 1.0, ExtensionParam(0.2641986109691542)),
+     30.0, -1.0205711564557398),
+    (ProblemSpec(Theory.COULOMB, 2, -0.9997526335916767), 100.0, -0.11105614759653312),
+]
+_BENCH_IDS = ["osc_m1_power", "osc_m0_log", "coul_m1_log", "coul_m2_power"]
+
+
+def _closed_and_bracket(spec):
+    spectrum = osc_spectrum if spec.theory is Theory.OSCILLATOR else coul_spectrum
+    (e0, _), (e1, _) = spectrum(spec, levels=2).discrete
+    half = 0.4 * abs(e1 - e0)
+    return e0, (e0 - half, e0 + half)
+
+
+def _reference_mismatch(spec, E, u_min, u_max):
+    """The shooting matching function's sign, on chunked DOP853 solves at
+    rtol 1e-12 matched at u = 1, from the same starts."""
+    vpot = _potential(spec)
+    kap = math.sqrt(max(vpot(u_max) - E, 1e-12))
+    out = _dop853(vpot, E, np.geomspace(u_min, 1.0, 25), _psi_as(spec)(u_min))
+    inn = _dop853(vpot, E, np.geomspace(u_max, 1.0, 25), [1.0, -kap])
+    return out[0] * inn[1] - out[1] * inn[0]
+
+
+@pytest.mark.parametrize("spec, u_max, dop853_shot", _BENCH_SHOTS, ids=_BENCH_IDS)
+def test_shot_accuracy_in_the_bench_cells(spec, u_max, dop853_shot):
+    closed, bracket = _closed_and_bracket(spec)
+    scale = max(1.0, abs(closed))
+    e = shoot_eigenvalue(spec, bracket, u_max=u_max)
+    if spec.extension is None:  # pure power: the start is exact
+        assert abs(e - closed) <= 1e-10 * scale
+        return
+    # log-mixed cells are limited by the start's truncation (4e-10 and 6e-6
+    # relative), so the yardstick is the same shooting problem solved tightly:
+    # its matching function changes sign within 1e-10 of the shot
+    step = 1e-10 * scale
+    assert _reference_mismatch(spec, e - step, 1e-6, u_max) * _reference_mismatch(
+        spec, e + step, 1e-6, u_max) < 0
+    if spec.theory is Theory.OSCILLATOR:
+        assert abs(e - closed) <= abs(dop853_shot - closed) + 1e-10 * scale
+    else:
+        # the DOP853 shot was 2.0e-10 off the tight root, towards the closed
+        # form; the shot is the tight root to 1e-10 (above)
+        assert abs(dop853_shot - e) <= 3e-10 * scale
+
+
+@pytest.mark.parametrize("spec, u_max, dop853_shot", _BENCH_SHOTS, ids=_BENCH_IDS)
+def test_shot_error_estimate_bounds_a_finer_solve(monkeypatch, spec, u_max, dop853_shot):
+    _, bracket = _closed_and_bracket(spec)
+    cells = []
+    magnus = oracle._magnus
+    monkeypatch.setattr(oracle, "_magnus", lambda *args: cells.append(args[-1]) or magnus(*args))
+    # from 32 cells a span, where the first meshes are far off, the shot
+    # refines until the estimate passes; a solve on meshes four times finer
+    # than the accepted ones, with no refinement allowed, lands within it
+    monkeypatch.setattr(oracle, "_CELLS", 32)
+    e = shoot_eigenvalue(spec, bracket, u_max=u_max)
+    assert len(set(cells)) > 1
+    monkeypatch.setattr(oracle, "_CELLS", 4 * cells[-1])
+    monkeypatch.setattr(oracle, "_MAX_DOUBLINGS", 0)
+    assert abs(shoot_eigenvalue(spec, bracket, u_max=u_max) - e) <= 1e-10 * max(1.0, abs(e))
+
+
+# a fresh interpreter shoots once and reports whether scipy.integrate loaded
+_SHOOT_PROBE = """
+import sys
+from radialspec import ProblemSpec, Theory
+from radialspec.oracle import shoot_eigenvalue
+shoot_eigenvalue(ProblemSpec(Theory.OSCILLATOR, 1, 1.0), (3.6, 4.4))
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_shooting_does_not_load_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHOOT_PROBE], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
