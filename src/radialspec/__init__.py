@@ -55,13 +55,11 @@ from .oscillator import (
 from .specfun import (
     AccuracyError,
     PoleError,
-    SeriesControl,
     bessel,
     digamma,
     gamma_fn,
     gamma_ln,
     kummer_m,
-    kummer_m_param_derivative,
     tricomi_u,
     trigamma,
 )

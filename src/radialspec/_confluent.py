@@ -31,16 +31,22 @@ def series_solution(plan, alpha: complex, beta: int, z_of, power: float, kappa0:
 
 
 def m0_pair(alpha: complex, z_of, log_weight: float, kappa0: float):
-    """r -> (C1, C2_0) or (O1, O2_0) from one series pass: the parameter
-    derivative carries Phi along; O2_0 adds ln(kappa0 r) O1, C2_0 half that."""
-    series = sf._DerivativePlan(alpha, 1.0, 0.5, 1.0)
+    """r -> (C1, C2_0) or (O1, O2_0) from one pass of the n = 0 log channel.
+
+    With pre = (kappa0 r)^(1/2) e^{-z/2}, the second solution is
+    pre (d/dt Phi(alpha + t/2, 1 + t; z) + w ln(kappa0 r) Phi) at t = 0, with
+    w = log_weight: 1 for O2_0 and 1/2 for C2_0.  At b = 1 that derivative is
+    S0/2 - gamma S1 in the log companion's blocks (h_k(1) = psi(k+1) + gamma),
+    so the pair is (pre Phi, pre L / 2), L = log_r S1 + S0 at
+    log_r = 2 w ln(kappa0 r) - 2 gamma."""
+    channel = sf._LogChannelPlan(alpha, 0)
 
     def pair(r: float) -> tuple[complex, complex]:
         z = z_of(r)
         pre = (kappa0 * r) ** 0.5 * cmath.exp(-0.5 * z)
-        phi, dphi = series(z)
-        first = pre * phi
-        return first, pre * dphi + first * (log_weight * math.log(kappa0 * r))
+        log_r = 2.0 * (log_weight * math.log(kappa0 * r) - sf.EULER_GAMMA)
+        phi, _, log_part = channel(z, log_r)
+        return pre * phi, 0.5 * pre * log_part
 
     return pair
 
@@ -204,7 +210,7 @@ def family_wave(pair, zeta: float, amp: float, decaying=None, switch: float = 0.
     tail = decaying(switch)
     if tail == 0:  # a deep level's decaying solution underflows at the switch
         raise sf.AccuracyError(
-            math.inf, sf.SeriesControl().rel_tol,
+            math.inf, sf.REL_TOL,
             f"bound wave at the switch radius r = {switch:.6g} (decaying solution 0 there)",
         )
     ratio = direct(switch) / tail

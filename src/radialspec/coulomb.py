@@ -105,8 +105,7 @@ def _coul_at(kind: str, par: CoulCoefficients, kappa0: float):
 
 def _coul_pair(par: CoulCoefficients, kappa0: float):
     """x -> (C1, C4) for |m| >= 1, or (C1, C2_0) for m = 0, from one series
-    pass per point: C4's log companion (or C2_0's parameter derivative)
-    carries C1's Phi along."""
+    pass per point of the log channel at n = |m|, which carries C1's Phi along."""
     n = par.beta - 1
     if n == 0:
         return cf.m0_pair(par.alpha, par.z, 0.5, kappa0)

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _KIND_PAIRS = {1: ("C1", "O1"), 2: ("C2_0", "O2_0"), 3: ("C3", "O3"), 4: ("C4", "O4")}
+# |m| >= 1 coefficient samples with alpha this close to a pole are excluded
+_POLE_RADIUS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,6 @@ def verify_coefficient_identities(
     samples: Iterable[tuple[complex, float]],
     kappa0: float = 1.0,
     zeta: float | None = None,
-    pole_radius: float = 1e-3,
 ) -> dict:
     """Check the coefficient identities over samples of (E, g):
     |m| >= 1: omega_O = 2 omega_C, B_O = B_C, Omega_C = 2 Omega_O;
@@ -152,11 +153,11 @@ def verify_coefficient_identities(
         except (sf.PoleError, ValidationError):
             excluded.append(i)
             continue
-        # exclude alpha within pole_radius of a nonpositive integer: both sides
-        # blow up identically and relative comparison loses all digits
+        # exclude alpha within _POLE_RADIUS of a nonpositive integer: both
+        # sides blow up identically and relative comparison loses all digits
         alpha = coul_parameters(m, energy, g).alpha
         near = round(alpha.real)
-        if near <= 0 and abs(alpha - near) < pole_radius:
+        if near <= 0 and abs(alpha - near) < _POLE_RADIUS:
             excluded.append(i)
             continue
         used += 1

@@ -52,12 +52,11 @@ class GridResolutionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform (or log-spaced) radial grid for the discretized operator."""
+    """Uniform radial grid for the discretized operator."""
 
     u_min: float
     u_max: float
     points: int
-    log_spacing: bool = False
 
     def __post_init__(self) -> None:
         if not (0 < self.u_min < self.u_max):
@@ -66,8 +65,6 @@ class GridSpec:
             raise ValidationError(f"need at least {_MIN_POINTS} grid points")
 
     def nodes(self) -> np.ndarray:
-        if self.log_spacing:
-            return np.geomspace(self.u_min, self.u_max, self.points)
         return np.linspace(self.u_min, self.u_max, self.points)
 
 
@@ -300,8 +297,6 @@ def fd_eigenvalues(spec: ProblemSpec, grid: GridSpec, count: int) -> list[float]
     relative."""
     if count < 1:
         raise ValidationError("count must be >= 1")
-    if grid.log_spacing:
-        raise ValidationError("finite-difference oracle supports linear spacing only")
     diag, off = _fd_matrix(spec, grid.nodes())
     if count > len(diag):
         raise ValidationError(f"count {count} exceeds the grid's {len(diag)} unknowns")

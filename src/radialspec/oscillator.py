@@ -132,7 +132,7 @@ def _osc_par_at(kind: str, par: OscCoefficients, kappa0: float):
 
 def _osc_pair(e: ComplexEnergy, lam: float, kappa0: float):
     """u -> (O1, O2_0) for m = 0 from one series pass per point (one J0/H1
-    pair at lambda = 0): O2_0's parameter derivative carries O1's Phi along."""
+    pair at lambda = 0): the n = 0 log channel carries O1's Phi along."""
     if lam == 0:
         if e.value == 0:
             raise ValidationError("lambda = 0 Bessel solutions need W != 0")

@@ -3,7 +3,9 @@ against 40-digit mpmath, and the family root bracketing that both theories
 hand to it."""
 
 import cmath
+import importlib
 import math
+import pkgutil
 import random
 import statistics
 import sys
@@ -41,6 +43,17 @@ def test_duality_imports_only_public_theory_names():
     for module in ("coulomb", "oscillator"):
         assert names[module]
         assert names[module] <= set(getattr(radialspec, module).__all__)
+
+
+def test_every_exported_name_resolves():
+    # a stale name in an __all__ breaks only `from radialspec.x import *`
+    modules = [radialspec] + [
+        importlib.import_module(f"radialspec.{info.name}")
+        for info in pkgutil.iter_modules(radialspec.__path__)
+    ]
+    exported = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert len({m.__name__ for m, _ in exported}) >= 7
+    assert [(m.__name__, name) for m, name in exported if not hasattr(m, name)] == []
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,15 @@
 """One series pass per point for the extension-family solution pairs.
 
-The fused Phi / parameter-derivative kernel and the log companion's S1
-against 40-digit mpmath and against the separate specfun calls, on the
-points the Coulomb theory reaches: the continuum (imaginary z, |z| <= 14),
-bound energies (real z < 8) and complex Green energies.  Then the wave
-closures and family Green functions built on the pairs against the named
-solutions, the bound-state ladder where (alpha)_k has a zero, and
-eigenfunctions that solve only the requested level.
+The n = 0 log channel, which fuses Phi and the m = 0 pair's parameter
+derivative, and the log companion's S1 against 40-digit mpmath and against
+the separate specfun calls, on the points the Coulomb theory reaches: the
+continuum (imaginary z, |z| <= 14), bound energies (real z < 8) and complex
+Green energies.  Then the wave closures and family Green functions built on
+the pairs against the named solutions, the bound-state ladder where
+(alpha)_k has a zero, and eigenfunctions that solve only the requested level.
 """
 
+import cmath
 import math
 import random
 
@@ -59,6 +60,19 @@ def _points(seed=2011, count=60):
 POINTS = _points()
 
 
+def _m0_member(a, b):
+    """alpha of the m = 0 solution at a point's energy, coupling and radius:
+    alpha = (1 + |m|)/2 + g/(2K) loses |m|/2 = (b - 1)/2, and z is unchanged."""
+    return a - 0.5 * (b - 1.0)
+
+
+def _m0_pair_series(a, z):
+    """(Phi, d/dt Phi(a + t/2, 1 + t; z) at t = 0) from one pass of the n = 0
+    log channel: the derivative is S0/2 - gamma S1, i.e. L/2 at log_r = -2 gamma."""
+    phi, _, log_part = sf.kummer_log_channel(a, 0, z, -2.0 * sf.EULER_GAMMA)
+    return phi, 0.5 * log_part
+
+
 def _term_sums(a, b, z, da, db):
     """sum |T_k| and sum |T_k G_k| of the Phi and derivative series: the
     scale of their rounding error when the sums cancel."""
@@ -81,28 +95,34 @@ def test_points_cover_the_three_regions():
 
 @pytest.mark.parametrize("a, b, z", POINTS)
 def test_fused_kernel_against_mpmath(a, b, z):
-    phi, dphi = sf.kummer_m_with_param_derivative(a, b, z, 0.5, 1.0)
+    # at every point's m = 0 member, so all 60 points are at b = 1
+    a = _m0_member(a, b)
+    phi, dphi = _m0_pair_series(a, z)
     with mp.workdps(40):
-        ref_phi = complex(mp.hyp1f1(a, b, z))
-        ref_d = complex(mp.diff(lambda t: mp.hyp1f1(a + t / 2, b + t, z), 0))
-    st, sd = _term_sums(a, b, z, 0.5, 1.0)
+        ref_phi = complex(mp.hyp1f1(a, 1, z))
+        ref_d = complex(mp.diff(lambda t: mp.hyp1f1(a + t / 2, 1 + t, z), 0))
+    st, sd = _term_sums(a, 1.0, z, 0.5, 1.0)
     assert abs(phi - ref_phi) <= 2e-14 * st
     assert abs(dphi - ref_d) <= 2e-14 * (st + sd)
 
 
 @pytest.mark.parametrize("a, b, z", POINTS)
 def test_fused_kernel_against_separate_calls(a, b, z):
-    phi, dphi = sf.kummer_m_with_param_derivative(a, b, z, 0.5, 1.0)
-    alone = sf.kummer_m(a, b, z)
+    # Phi against kummer_m, and L against tricomi_u: at n = 0, DLMF 13.2.9
+    # reads Gamma(a) Psi(a, 1; z) = -L at log_r = ln z + psi(a)
+    a = _m0_member(a, b)
+    log_r = cmath.log(z) + sf.digamma(a)
+    phi, _, log_part = sf.kummer_log_channel(a, 0, z, log_r)
+    alone = sf.kummer_m(a, 1.0, z)
     assert abs(phi - alone) <= 1e-12 * abs(alone)
-    d_alone = sf.kummer_m_param_derivative(a, b, z, 0.5, 1.0)
-    assert abs(dphi - d_alone) <= 1e-12 * abs(d_alone)
+    u_alone = sf.gamma_fn(a) * sf.tricomi_u(a, 1, z)
+    assert abs(log_part + u_alone) <= 1e-12 * (abs(phi * log_r) + abs(log_part))
 
 
 @pytest.mark.parametrize("a, b, z", POINTS)
 def test_log_companion_s1_stands_in_for_kummer(a, b, z):
     n = int(b) - 1
-    s1, _, _ = sf.kummer_log_companion(a, n, z)
+    s1, _, _ = sf._CompanionPlan(a, n)(complex(z), 0.0)
     assert sf._KummerPlan(a, b).plain(complex(z))
     phi = sf.kummer_m(a, b, z)
     assert abs(s1 - phi) <= 1e-12 * abs(phi)
@@ -114,7 +134,7 @@ def test_log_companion_s1_meets_kummer_rule_next_to_a_zero_of_phi(n):
     # be summed until its own terms fall below rel_tol |S1|, as kummer_m's are
     a = -2.5
     z = float(mp.findroot(lambda t: mp.hyp1f1(a, n + 1, t), 1.0 + n)) * (1 + 1e-9)
-    s1, s0, _ = sf.kummer_log_companion(a, n, z)
+    s1, s0, _ = sf._CompanionPlan(a, n)(z, 0.0)
     assert abs(s0) > 1e6 * abs(s1)
     phi = sf.kummer_m(a, n + 1, z)
     assert abs(s1 - phi) <= 1e-12 * abs(phi)
@@ -123,9 +143,10 @@ def test_log_companion_s1_meets_kummer_rule_next_to_a_zero_of_phi(n):
 def test_fused_kernel_takes_phi_from_kummer_off_the_plain_series():
     # Re z < 0 (Kummer transformation), |z| past the switch radius
     # (asymptotic branch) and terminating a: Phi is kummer_m's value exactly
-    for a, b, z in ((0.7 + 0.2j, 2.0, -3.0 + 1.0j), (0.6, 1.0, 35.0j), (-3.0, 2.0, 2.5)):
+    for a, b, z in ((0.7 + 0.2j, 2.0, -3.0 + 1.0j), (0.6, 1.0, 35.0j), (-3.0, 2.0, 2.5),
+                    (0.7 + 0.2j, 1.0, -3.0 + 1.0j), (-3.0, 1.0, 2.5)):
         assert not sf._KummerPlan(a, b).plain(complex(z))
-        phi, _ = sf.kummer_m_with_param_derivative(a, b, z, 0.5, 1.0)
+        phi, _, _ = sf.kummer_log_channel(a, int(b) - 1, z, 0.0)
         assert phi == sf.kummer_m(a, b, z)
 
 
@@ -191,7 +212,7 @@ def test_specfun_limits_at_nonpositive_integer_a():
         with mp.workdps(60):
             a_ref = -J + mp.mpf(10) ** -30
             d_ref = complex(mp.diff(lambda t: mp.hyp1f1(a_ref + t / 2, 1 + t, z), 0))
-        d = sf.kummer_m_param_derivative(-J, 1.0, z, 0.5, 1.0)
+        _, d = _m0_pair_series(-J, z)
         assert abs(d - d_ref) <= 1e-13 * abs(d_ref)
         for n in (0, 1, 2):
             with mp.workdps(60):
@@ -204,7 +225,7 @@ def test_specfun_limits_at_nonpositive_integer_a():
                     h += 1 / (a + j)
                     c *= (a + j) * z / ((n + 1 + j) * (j + 1))
                 s0 = complex(s0)
-            s1, got, _ = sf.kummer_log_companion(-J, n, z)
+            s1, got, _ = sf._CompanionPlan(-J, n)(z, 0.0)
             assert abs(got - s0) <= 1e-13 * abs(s0)
             assert abs(s1 - sf.kummer_m(-J, n + 1, z)) <= 1e-13 * abs(s1)
 

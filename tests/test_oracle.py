@@ -52,12 +52,6 @@ def test_grid_validation():
     with pytest.raises(ValidationError):
         GridSpec(0.1, 1.0, 50)
     with pytest.raises(ValidationError):
-        fd_eigenvalues(
-            ProblemSpec(Theory.OSCILLATOR, 1, 1.0),
-            GridSpec(1e-3, 8.0, 500, log_spacing=True),
-            1,
-        )
-    with pytest.raises(ValidationError):
         fd_eigenvalues(ProblemSpec(Theory.OSCILLATOR, 1, 1.0), _staggered(8.0, 500), 0)
 
 

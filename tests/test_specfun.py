@@ -14,19 +14,15 @@ from radialspec.coulomb import coul_eigenfunction
 from radialspec.oscillator import osc_eigenfunction
 from radialspec.specfun import (
     AccuracyError,
-    DEFAULT_CONTROL,
     EULER_GAMMA,
     PoleError,
-    SeriesControl,
     bessel,
     degenerate_log_index,
     digamma,
-    frobenius_poly,
     gamma_fn,
     gamma_ln,
-    kummer_log_companion,
+    kummer_log_channel,
     kummer_m,
-    kummer_m_param_derivative,
     pochhammer,
     rgamma,
     tricomi_u,
@@ -193,7 +189,7 @@ def test_kummer_terminating_polynomial():
     assert abs(kummer_m(-2.0, b, z) - direct) < 1e-14
 
 
-def test_kummer_series_asymptotic_overlap(rng):
+def test_kummer_series_asymptotic_overlap(rng, monkeypatch):
     # Both evaluation strategies agree in the overlap annulus up to two
     # unavoidable error sources: the optimal-truncation remainder of the
     # divergent asymptotic tail, ~e^{-|z|} poly(|z|), and the roundoff of the
@@ -201,8 +197,6 @@ def test_kummer_series_asymptotic_overlap(rng):
     # is only ~e^{|Re z|} (cancellation sheds |z| - |Re z| digits near the
     # 45-degree phase boundary). The envelope below bounds both with a
     # comfortable constant; it was validated against 25000 samples.
-    series_ctl = SeriesControl(1e-13, 3000, 1e9)
-    asym_ctl = SeriesControl(1e-13, 500, 1.0)
     eps = 2.2e-16
     for _ in range(40):
         a = complex(rng.uniform(0.2, 1.5), rng.uniform(-0.5, 0.5))
@@ -210,18 +204,23 @@ def test_kummer_series_asymptotic_overlap(rng):
         r = rng.uniform(20.0, 40.0)
         phi = rng.uniform(-math.pi / 4, math.pi / 4)
         z = cmath.rect(r, phi) * rng.choice((1.0, -1.0))
-        v1 = kummer_m(a, b, z, series_ctl)
-        v2 = kummer_m(a, b, z, asym_ctl)
+        monkeypatch.setattr(sf, "MAX_TERMS", 3000)
+        monkeypatch.setattr(sf, "SWITCH_RADIUS", 1e9)
+        v1 = kummer_m(a, b, z)
+        monkeypatch.setattr(sf, "MAX_TERMS", 500)
+        monkeypatch.setattr(sf, "SWITCH_RADIUS", 1.0)
+        v2 = kummer_m(a, b, z)
         tol = 100.0 * math.exp(-r) * r**4 + 100.0 * eps * math.exp(
             r - abs(z.real)
         ) * r**3
         assert abs(v1 - v2) <= tol * max(1.0, abs(v1))
 
 
-def test_kummer_accuracy_error_reports_bound():
-    tiny = SeriesControl(1e-13, 5, 1e9)
+def test_kummer_accuracy_error_reports_bound(monkeypatch):
+    monkeypatch.setattr(sf, "MAX_TERMS", 5)
+    monkeypatch.setattr(sf, "SWITCH_RADIUS", 1e9)
     with pytest.raises(AccuracyError) as exc:
-        kummer_m(0.5, 1.5, 20.0, tiny)
+        kummer_m(0.5, 1.5, 20.0)
     assert exc.value.achieved > exc.value.requested
 
 
@@ -230,18 +229,18 @@ def test_kummer_accuracy_error_reports_bound():
 
 def test_log_companion_s1_is_kummer():
     a, n, z = 0.4 - 0.7j, 2, 1.1 + 0.3j
-    s1, _, _ = kummer_log_companion(a, n, z)
+    s1, _, _ = sf._CompanionPlan(a, n)(z, 0.0)
     assert abs(s1 - kummer_m(a, n + 1, z)) < 1e-12
 
 
 def test_log_companion_p_polynomial():
     # n = 2: P = 1 + (a-2) z / (1-2) = 1 - (a-2) z
     a, z = 0.4, 0.9
-    _, _, p = kummer_log_companion(a, 2, z)
+    _, _, p = sf._CompanionPlan(a, 2)(z, 0.0)
     assert abs(p - (1.0 - (a - 2) * z)) < 1e-14
-    assert frobenius_poly(a, 2, z) == p
+    assert kummer_log_channel(a, 2, z, 0.0)[1] == p
     # n = 0 has no subdominant channel
-    _, _, p0 = kummer_log_companion(0.3, 0, 0.5)
+    _, _, p0 = sf._CompanionPlan(0.3, 0)(0.5, 0.0)
     assert p0 == 0.0
 
 
@@ -251,7 +250,7 @@ def test_log_companion_degenerate_parameter_raises():
     assert degenerate_log_index(0.0 + 0j, 3) is None
     assert degenerate_log_index(4.0 + 0j, 3) is None
     with pytest.raises(PoleError):
-        kummer_log_companion(1.0, 1, 0.5)
+        sf._CompanionPlan(1.0, 1)
 
 
 # --- Tricomi Psi ----------------------------------------------------------------
@@ -323,10 +322,18 @@ def test_tricomi_z_zero_pole():
 
 
 # --- parameter derivative -------------------------------------------------------
+#
+# The m = 0 family solutions need d/dt Phi(a + t/2, 1 + t; z) at t = 0.  In the
+# blocks of the n = 0 log channel it is S0/2 - gamma S1, i.e. L/2 at
+# log_r = -2 gamma.
+
+
+def _m0_derivative(a, z):
+    return kummer_log_channel(a, 0, z, -2.0 * EULER_GAMMA)[2] / 2
 
 
 def test_param_derivative_zero_at_origin():
-    assert kummer_m_param_derivative(0.5, 1.0, 0.0, 0.5, 1.0) == 0.0
+    assert _m0_derivative(0.5, 0.0) == 0.0
 
 
 def test_param_derivative_matches_finite_difference():
@@ -336,16 +343,8 @@ def test_param_derivative_matches_finite_difference():
         kummer_m(a + da * eps, b + db * eps, z)
         - kummer_m(a - da * eps, b - db * eps, z)
     ) / (2 * eps)
-    val = kummer_m_param_derivative(a, b, z, da, db)
+    val = _m0_derivative(a, z)
     assert abs(val - fd) < 1e-8
-
-
-def test_param_derivative_linearity():
-    a, b, z = 0.3 - 0.2j, 1.2, 0.8 + 0.4j
-    total = kummer_m_param_derivative(a, b, z, 0.5, 1.0)
-    part_a = kummer_m_param_derivative(a, b, z, 0.5, 0.0)
-    part_b = kummer_m_param_derivative(a, b, z, 0.0, 1.0)
-    assert abs(total - (part_a + part_b)) < 1e-12
 
 
 # --- Bessel ---------------------------------------------------------------------
@@ -395,13 +394,16 @@ def test_bessel_y_singular_at_origin():
 #
 # A plan is built once per parameter set and summed at many points; its
 # bracket tables grow as the points need more terms.  Summed in any order, it
-# must return bit for bit what a fresh one-shot call returns at each point.
+# must return bit for bit what a fresh plan (or the one-shot call that builds
+# one) returns at each point.
 
 # small |z| first, then a point needing more terms than any before it, then
 # Re z < 0 (Kummer transformation), past the switch radius, and z = 0
 PLAN_POINTS = [0.5 + 0.3j, 1.5 - 1.0j, 14.0 + 9.0j, 0.2j, 2.5, -4.0 + 2.0j,
                -0.3 - 0.1j, 24.0 - 3.0j, 35.0j, 41.0 - 2.0j, -38.0 + 1.0j, 0j]
-SMALL = SeriesControl(max_terms=12)
+BOTH_MAX_TERMS = pytest.mark.parametrize(
+    "max_terms", [sf.MAX_TERMS, 12], ids=["default", "max_terms_12"]
+)
 
 
 def _outcome(fn, *args):
@@ -418,83 +420,95 @@ def _assert_plan_matches(plan, one_shot):
     return [p for p, _ in outcomes]
 
 
-@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@BOTH_MAX_TERMS
 @pytest.mark.parametrize("a, b", [(0.3 + 0.2j, 2.0), (-1.7, 1.5 + 0.2j), (-3.0, 2.0), (4.0, 1.0)])
-def test_kummer_plan_matches_one_shot(a, b, ctl):
-    _assert_plan_matches(sf._KummerPlan(a, b, ctl), lambda z: kummer_m(a, b, z, ctl))
+def test_kummer_plan_matches_one_shot(a, b, max_terms, monkeypatch):
+    monkeypatch.setattr(sf, "MAX_TERMS", max_terms)
+    _assert_plan_matches(sf._KummerPlan(a, b), lambda z: kummer_m(a, b, z))
 
 
-@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@BOTH_MAX_TERMS
 @pytest.mark.parametrize(
     "a, b",
     # log series, terminating a, terminating 2F0 (a - b + 1 = -1), b < 1
     [(0.3 + 0.2j, 1), (0.6 - 0.4j, 3), (-2.0, 2), (1.0, 3), (0.3 + 0.2j, -1)],
 )
-def test_tricomi_plan_matches_one_shot(a, b, ctl):
-    _assert_plan_matches(sf._TricomiPlan(a, b, ctl), lambda z: tricomi_u(a, b, z, ctl))
+def test_tricomi_plan_matches_one_shot(a, b, max_terms, monkeypatch):
+    monkeypatch.setattr(sf, "MAX_TERMS", max_terms)
+    _assert_plan_matches(sf._TricomiPlan(a, b), lambda z: tricomi_u(a, b, z))
 
 
-@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@BOTH_MAX_TERMS
 @pytest.mark.parametrize(
     "a, n",
     # generic, and a = -3, where S1 terminates and S0 takes the pole tail
     [(0.3 + 0.2j, 0), (0.3 + 0.2j, 2), (-1.6 + 0.5j, 1), (-3.0, 1), (-3.0, 0)],
 )
-def test_log_companion_plan_matches_one_shot(a, n, ctl):
-    plan = sf._CompanionPlan(a, n, ctl)
-    _assert_plan_matches(plan, lambda z: kummer_log_companion(a, n, z, ctl))
-    if ctl is DEFAULT_CONTROL and a != -3.0:
+def test_log_companion_plan_matches_one_shot(a, n, max_terms, monkeypatch):
+    monkeypatch.setattr(sf, "MAX_TERMS", max_terms)
+    plan = sf._CompanionPlan(a, n)
+    for log in (0.0, -1.3):
+        _assert_plan_matches(
+            lambda z: plan(z, log), lambda z: sf._CompanionPlan(a, n)(z, log)
+        )
+    if max_terms > 12 and a != -3.0:
         # the table grew past the first point's needs for the later points
         assert len(plan.brackets) > 20
 
 
 @pytest.mark.parametrize(
-    "plan", [sf._CompanionPlan(0.3 + 0.2j, 1), sf._DerivativePlan(0.3 + 0.2j, 1.0, 0.5, 1.0)],
+    # n = 0 is the companion that sums the m = 0 pair's parameter derivative
+    "plan", [sf._CompanionPlan(0.3 + 0.2j, 1), sf._CompanionPlan(0.3 + 0.2j, 0)],
     ids=["companion", "derivative"],
 )
 def test_a_grown_table_is_published_by_rebinding(plan):
     # a sum still reading the old table must not see it change under it
-    plan(0.5 + 0.3j)
+    plan(0.5 + 0.3j, 0.0)
     old = plan.brackets
     size = len(old)
-    plan(14.0 + 9.0j)
+    plan(14.0 + 9.0j, 0.0)
     assert len(old) == size < len(plan.brackets)
     assert plan.brackets[:size] == old
 
 
-@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@BOTH_MAX_TERMS
 @pytest.mark.parametrize(
     "a, n",
     # generic, pole tail at a = -2, and the degenerate index a = l0 = 1, 2 <= n
+    # (n = 0 is test_param_derivative_plan_matches_one_shot)
     [(0.3 + 0.2j, 1), (0.6 - 0.4j, 3), (-2.0, 2), (1.0, 2), (2.0, 2)],
 )
-def test_log_channel_plan_matches_one_shot(a, n, ctl):
-    plan = sf._LogChannelPlan(a, n, ctl)
+def test_log_channel_plan_matches_one_shot(a, n, max_terms, monkeypatch):
+    monkeypatch.setattr(sf, "MAX_TERMS", max_terms)
+    plan = sf._LogChannelPlan(a, n)
     for log_r in (0.0, -1.3):
         _assert_plan_matches(
-            lambda z: plan(z, log_r), lambda z: sf.kummer_log_channel(a, n, z, log_r, ctl)
+            lambda z: plan(z, log_r), lambda z: sf.kummer_log_channel(a, n, z, log_r)
         )
 
 
-@pytest.mark.parametrize("ctl", [DEFAULT_CONTROL, SMALL], ids=["default", "max_terms_12"])
+@BOTH_MAX_TERMS
 @pytest.mark.parametrize(
     "a, b, da, db",
-    # the m = 0 pair's direction, another one, and the pole tail at a = -2
-    [(0.3 + 0.2j, 1.0, 0.5, 1.0), (-1.6 + 0.5j, 2.0, -0.3, 0.7), (-2.0, 1.0, 0.5, 1.0)],
+    # the m = 0 pair's direction, the only one summed, and the pole tail at a = -2
+    [(0.3 + 0.2j, 1.0, 0.5, 1.0), (-2.0, 1.0, 0.5, 1.0)],
 )
-def test_param_derivative_plan_matches_one_shot(a, b, da, db, ctl):
-    plan = sf._DerivativePlan(a, b, da, db, ctl)
+def test_param_derivative_plan_matches_one_shot(a, b, da, db, max_terms, monkeypatch):
+    # the n = 0 log channel's plan at log_r = -2 gamma, whose L / 2 is the
+    # derivative along (da, db) = (1/2, 1) at b = 1
+    assert (b, da, db) == (1.0, 0.5, 1.0)
+    monkeypatch.setattr(sf, "MAX_TERMS", max_terms)
+    plan = sf._LogChannelPlan(a, 0)
+    log_r = -2.0 * EULER_GAMMA
     outcomes = _assert_plan_matches(
-        plan, lambda z: sf.kummer_m_with_param_derivative(a, b, z, da, db, ctl)
+        lambda z: plan(z, log_r), lambda z: kummer_log_channel(a, 0, z, log_r)
     )
-    if ctl is SMALL:
+    if max_terms == 12:
         assert any(o.startswith("AccuracyError") for o in outcomes)
         assert not all(o.startswith("AccuracyError") for o in outcomes)
 
 
 def test_plans_raise_what_one_shot_calls_raise():
-    with pytest.raises(PoleError, match="kummer_m_param_derivative second parameter"):
-        sf._DerivativePlan(0.3, -1.0, 0.5, 1.0)
     with pytest.raises(PoleError, match="kummer_m second parameter"):
         sf._KummerPlan(0.3, -2.0)
     with pytest.raises(PoleError, match="sigma_a"):
@@ -508,7 +522,7 @@ WAVE_SPECS = [
     (Theory.COULOMB, 2, -1.0, None, 1.7),  # continuum, |z| up to 26
     (Theory.COULOMB, 1, -1.0, 0.35, 2),  # log channel, C3 tail past 4/K
     (Theory.COULOMB, 1, 0.6, -0.4, 1.3),
-    (Theory.COULOMB, 0, -1.0, 0.3, 1),  # parameter derivative, C3 tail
+    (Theory.COULOMB, 0, -1.0, 0.3, 1),  # n = 0 log channel, C3 tail
     (Theory.COULOMB, 0, -0.8, 0.3, 0.9),
     (Theory.OSCILLATOR, 1, 1.3, None, 3),
     (Theory.OSCILLATOR, 0, 1.1, 0.7, 1),  # O2_0 pair, O3 tail
@@ -537,7 +551,7 @@ def test_wave_values_do_not_depend_on_the_order_of_radii(theory, m, coupling, ze
         ("C3", 1, -1.3 + 0.2j, 1.1), ("C4", 1, -1.3 + 0.2j, 1.1), ("C2_0", 0, 0.9 + 0.5j, -1.2),
         ("C3", 0, 2.0 + 0.1j, 0.5),
         ("C4", 2, -1.0 / 25.0, -1.0),  # alpha = -1: terminating C3, pole-tail C4
-        ("C2_0", 0, -1.0 / 9.0, -1.0),  # alpha = -1: pole-tail derivative
+        ("C2_0", 0, -1.0 / 9.0, -1.0),  # alpha = -1: pole-tail n = 0 channel
         ("C4", 2, -1.0, -1.0),  # alpha = 1: the degenerate log index
     ],
 )
