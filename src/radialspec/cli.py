@@ -251,7 +251,10 @@ def _cmd_verify(args, out) -> int:
     closed = _get_spectrum(spec, args.levels)
     if not closed.discrete:
         raise ValidationError("cell has no discrete levels to verify")
-    grid = GridSpec(args.umin, args.umax, args.points)
+    umax = args.umax
+    if umax is None:  # the box u <= 15 in both theories, x = kappa0 u^2
+        umax = 15.0 if spec.theory is Theory.OSCILLATOR else 225.0 * spec.kappa0
+    grid = GridSpec(args.umin, umax, args.points)
     oracle_vals = fd_eigenvalues(spec, grid, min(args.levels, len(closed.discrete)))
     report = compare_spectra(closed, oracle_vals, args.tol)
     doc = {
@@ -337,7 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--umin", type=float, default=1e-3)
-    p.add_argument("--umax", type=float, default=15.0)
+    p.add_argument(
+        "--umax",
+        type=float,
+        default=None,
+        help="Dirichlet edge in the theory's own radius (u or x); default 15 "
+        "for osc and 225 kappa0 for coul, the same box u <= 15 under x = kappa0 u^2",
+    )
     p.add_argument("--points", type=int, default=4000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_verify)

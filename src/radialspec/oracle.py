@@ -1,9 +1,11 @@
 """Independent numerical verification of the closed-form spectra.
 
-A second-order finite-difference (symmetric tridiagonal) eigensolver and a
-shooting solver on a fourth-order Magnus propagator for the radial equations.
-The extension families enter through the small-radius boundary asymptote
-psi_as whose log-derivative is matched at the inner grid edge.
+A finite-volume eigensolver (a symmetric tridiagonal pencil) that solves both
+theories in the dual variable u = sqrt(x / kappa0), and a shooting solver on
+a fourth-order Magnus propagator for the radial equations. The extension
+families enter through the small-radius asymptote psi_as: its
+log-derivative is the inner flux of the finite volumes and the start of the
+shots.
 """
 
 from __future__ import annotations
@@ -47,12 +49,17 @@ _MIN_POINTS = 100
 
 
 class GridResolutionWarning(UserWarning):
-    """The grid is too coarse for the requested accuracy."""
+    """The grid cannot resolve the requested levels to 1e-3 relative: it is
+    too coarse, its box too short, or its first node too far out."""
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform radial grid for the discretized operator."""
+    """Uniform grid in the theory's own radius (u for the oscillator, x for
+    the Coulomb problem) with a Dirichlet edge at u_max. fd_eigenvalues
+    solves both theories in u = sqrt(x / kappa0): a Coulomb grid becomes the
+    uniform u grid of as many points that ends at sqrt(u_max / kappa0) and
+    keeps the first node's offset c = u_min / h in its own spacing."""
 
     u_min: float
     u_max: float
@@ -63,9 +70,6 @@ class GridSpec:
             raise ValidationError("need 0 < u_min < u_max")
         if self.points < _MIN_POINTS:
             raise ValidationError(f"need at least {_MIN_POINTS} grid points")
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.u_min, self.u_max, self.points)
 
 
 def _potential(spec: ProblemSpec):
@@ -122,35 +126,102 @@ def _power_channel(spec: ProblemSpec) -> float | None:
     return 0.5 * (1 + abs(spec.m))
 
 
-def _fd_matrix(spec: ProblemSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of the symmetric tridiagonal FD operator."""
-    h = nodes[1] - nodes[0]  # callers build uniform nodes with linspace
-    vpot = _potential(spec)
-    inner = nodes[:-1]  # Dirichlet at u_max removes the last node
-    p = _power_channel(spec)
-    if p is not None:
-        # Substituting psi = u^p phi removes the u^{-2} singularity entirely;
-        # the flux form -(u^{2p} phi')' / u^{2p} + V_reg is discretized with
-        # half-node fluxes and symmetrized back to a tridiagonal problem.
-        # Zero flux at the inner edge selects the u^p channel exactly.
-        if spec.theory is Theory.OSCILLATOR:
-            v_reg = lambda u: spec.coupling * u * u
-        else:
-            v_reg = lambda u: spec.coupling / u
-        u, n2p = inner, round(2.0 * p)  # 2p = 1 + 2|m| (oscillator) or 1 + |m|
-        w = np.multiply.reduce(np.broadcast_to(u, (n2p, len(u))))  # u^{2p}, as products
-        half = np.multiply.reduce(np.broadcast_to((u[:-1] + u[1:]) / 2.0, (n2p, len(u) - 1)))
-        diag = v_reg(u)
-        diag[:-1] += half / (h * h * w[:-1])
-        diag[1:] += half / (h * h * w[1:])
-        return diag, -half / (h * h * np.sqrt(w[:-1] * w[1:]))
-    psi_as = _psi_as(spec)
-    diag = 2.0 / h**2 + vpot(inner)
-    # fold psi(u_0) = r psi(u_1) into the first retained row
-    r = psi_as(float(inner[0]))[0] / psi_as(float(inner[1]))[0]
-    diag = diag[1:]
-    diag[0] = (2.0 - r) / h**2 + vpot(float(inner[1]))
-    return diag, np.full(len(diag) - 1, -1.0 / h**2)
+# Both theories read the same equation in the dual variable u = sqrt(x / kappa0).
+# The oscillator's is -phi'' + ((m^2 - 1/4)/u^2 + lambda u^2) phi = W phi in
+# u itself. For the Coulomb equation -psi'' + ((m^2 - 1)/(4 x^2) + g/x) psi
+# = E psi, put x = kappa0 u^2 and psi = u^(1/2) phi: d/dx = d/du / (2 kappa0 u)
+# gives psi_xx = u^(1/2) (phi'' - 3/4 phi / u^2) / (4 kappa0^2 u^2), and
+# multiplying by -4 kappa0^2 u^(3/2) leaves
+#     -phi'' + ((m^2 - 1/4)/u^2 + 4 kappa0 g) phi = 4 kappa0^2 E u^2 phi.
+# So both are -phi'' + ((m^2 - 1/4)/u^2 + A) phi = E B phi, with (A, B) =
+# (lambda u^2, 1) or (4 kappa0 g, 4 kappa0^2 u^2). With phi = u^p chi and
+# p = 1/2 +- |m|, so that p (p - 1) = m^2 - 1/4, the singular pair is
+# u^(-p) times -(w chi')' with w = u^(2p), and the equation is the flux form
+#     -(w chi')' + A w chi = E B w chi.
+# Pure-power channels take p = 1/2 + |m| (chi regular, zero flux at u = 0);
+# log-mixed ones take p = 1/2 - |m|, where both channels enter (chi, w chi')
+# at O(1) and the extension fixes their ratio at the first node.
+
+
+def _fd_nodes(spec: ProblemSpec, grid: GridSpec, points: int) -> np.ndarray:
+    """`points` uniform u nodes ending at the grid's edge in u, the first node
+    keeping the grid's offset c = u_min / h in its own spacing."""
+    c = grid.u_min * (grid.points - 1) / (grid.u_max - grid.u_min)
+    u_max = grid.u_max
+    if spec.theory is Theory.COULOMB:
+        u_max = math.sqrt(u_max / spec.kappa0)
+    return np.linspace(c * u_max / (points - 1 + c), u_max, points)
+
+
+def _power_integral(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integral of u^k from a to b for k = -1, 1 or 3, in factored form:
+    no b^(k+1) - a^(k+1) cancellation."""
+    if k == -1:
+        return np.log1p((b - a) / a)
+    s = (b - a) * (b + a) / (k + 1)
+    return s if k == 1 else s * (b * b + a * a)
+
+
+def _odd_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x^k for odd k >= 1 as a product of k copies of x: no pow."""
+    out = x.copy()
+    for _ in range(k - 1):
+        out *= x
+    return out
+
+
+def _fd_matrix(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of T = M^(-1/2) K M^(-1/2) for the finite
+    volumes K - E M of the flux form on the uniform u nodes, one unknown per
+    node but the last, a Dirichlet node. Cell i spans the midpoints next to
+    u_i; K holds the faces and the A term, M the lumped B term.
+
+    Pure-power channels take midpoint faces w((u_i + u_(i+1))/2)/h and node
+    masses w(u_i) h, which keep staggered grids superconvergent, and zero
+    flux at u = 0. Log-mixed channels take exact integrals (the face
+    1/int u^(-2p), the cells int w and int u^2 w) and their first cell, from
+    u_0, takes the flux R chi_0 that the asymptote _psi_as gives. Every
+    exponent is odd, so no weight needs a pow. The arrays are updated in
+    place: on fine grids, allocating them costs more than the arithmetic."""
+    k0 = spec.kappa0
+    pure = _power_channel(spec) is not None
+    p = 0.5 + abs(spec.m) if pure else 0.5 - abs(spec.m)
+    n2p = round(2.0 * p)
+    v, h = u[:-1], u[1] - u[0]
+    mid = v + u[1:]
+    mid *= 0.5
+    if pure:
+        face = _odd_power(mid, n2p)
+        face /= h
+        int_w = _odd_power(v, n2p)
+        int_w *= h
+        int_u2w, inner = int_w * v, 0.0
+        int_u2w *= v
+    else:
+        face = 1.0 / _power_integral(-n2p, v, u[1:])
+        a, b = np.concatenate([u[:1], mid[:-1]]), mid
+        int_w, int_u2w = _power_integral(n2p, a, b), _power_integral(n2p + 2, a, b)
+        # chi = u^(-p - q) psi(r) at r = u (q = 0) or kappa0 u^2 (q = 1/2)
+        u0 = float(u[0])
+        r, dr, q = (u0, 1.0, 0.0) if spec.theory is Theory.OSCILLATOR else (
+            k0 * u0 * u0, 2.0 * k0 * u0, 0.5)
+        psi, dpsi = _psi_as(spec)(r)
+        inner = (dr * dpsi / psi - (p + q) / u0) * u0**n2p  # R = w (ln chi)'
+    if spec.theory is Theory.OSCILLATOR:
+        k, mass = int_u2w, int_w
+        k *= spec.coupling
+    else:
+        k, mass = int_w, int_u2w
+        k *= 4.0 * k0 * spec.coupling
+        mass *= 4.0 * k0 * k0
+    k += face  # the last face reaches the Dirichlet node
+    k[1:] += face[:-1]
+    k[0] += inner
+    k /= mass
+    off = mass[:-1] * mass[1:]
+    np.sqrt(off, out=off)
+    np.divide(face[:-1], off, out=off)
+    return k, np.negative(off, out=off)
 
 
 # GridResolutionWarning fires when the Richardson estimate of the ground-level
@@ -158,60 +229,89 @@ def _fd_matrix(spec: ProblemSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.nda
 _WARN_REL = 1e-3
 # inverse-iteration sweeps allowed per level before a grid is solved by index
 _MAX_SWEEPS = 30
-# the certificates widen each residual bound by this many eps ||T||_1: the
-# rounding that a factorization, a solve or a Sturm count may carry
+# the certificates widen each residual bound by this many times the rounding
+# floor that a factorization, a solve or a Sturm count may carry
 _SLACK = 4.0
+# dstebz's absolute tolerance for index solves. Its default eps ||T||_1 is
+# useless on T graded towards u = 0 (a Coulomb T in u has ||T||_1 ~ h^-4):
+# bisection then stops at the relative accuracy of its Sturm counts
+_INDEX_TOL = np.finfo(float).tiny
 
 
 def _refine(
     diag: np.ndarray, off: np.ndarray, guess: np.ndarray, spread: np.ndarray
 ) -> np.ndarray | None:
     """The lowest len(guess) eigenvalues of the tridiagonal (diag, off), by
-    shift-invert iteration from the estimates `guess` (uncertainty `spread`),
-    each with residual <= eps ||T||_1; None when a certificate fails.
+    shift-invert iteration from the estimates `guess` (uncertainty `spread`);
+    None when a certificate fails.
 
-    Level 0 iterates with the LDL^T factorization of T - sigma, sigma =
-    guess - spread, lowered in doubling steps until the factorization exists:
-    it proves lambda_0 > sigma, so the iteration finds lambda_0. A second
-    factorization at theta - r - slack proves that nothing lies below the
-    level's residual interval. Higher levels iterate with the LU factorization
-    at their estimates. Their residual intervals must be disjoint and
-    increasing, and a Sturm count must find exactly len(guess) eigenvalues
-    from the ground bound to the top interval's end: then the intervals hold
-    the lowest levels, one each."""
+    Each level iterates until its residual r is within the rounding floor
+    eps min(||T||_1, _SLACK || |T| |y| || / ||y||) of its iterate y: on a T
+    graded towards u = 0, eps ||T||_1 can exceed the level itself, while the
+    componentwise term sees only where the level lives. Level 0 iterates
+    with the LDL^T factorization of T - sigma, sigma = guess - spread,
+    lowered in doubling steps until the factorization exists: it proves
+    lambda_0 > sigma, so the iteration finds lambda_0. A sweep that cuts r
+    by less than 3 moves sigma up to theta - r - slack if the factorization
+    there exists, proving it still below lambda_0. A second factorization at
+    theta - r - slack proves that nothing lies below the level's residual
+    interval. Higher levels iterate with the LU factorization at their
+    estimates. Their residual intervals must be disjoint and increasing, and
+    a Sturm count must find exactly len(guess) eigenvalues from the ground
+    bound to the top interval's end: then the intervals hold the lowest
+    levels, one each."""
     from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
-    tnorm = np.abs(diag).max() + 2.0 * np.abs(off).max()  # >= ||T||_1
-    tol = np.finfo(float).eps * tnorm
-    slack = _SLACK * tol
+    eps = np.finfo(float).eps
+    abs_d, abs_e = np.abs(diag), np.abs(off)
+    tnorm = abs_d.max() + 2.0 * abs_e.max()  # >= ||T||_1
     x0 = np.full(len(diag), 1.0 / math.sqrt(len(diag)))
 
-    def iterate(solve, sigma: float) -> tuple[float, float] | None:
-        """(theta, r + slack) once the residual r <= tol, within _MAX_SWEEPS."""
-        x = x0
+    def floor(y: np.ndarray, norm: float) -> float:  # y's rounding floor, above
+        ay = np.abs(y)
+        ty = abs_d * ay
+        ty[:-1] += abs_e * ay[1:]
+        ty[1:] += abs_e * ay[:-1]
+        return eps * min(tnorm, _SLACK * math.sqrt(ty @ ty) / norm)
+
+    def ldl(shift: float):
+        """Solves with T - shift by its LDL^T factorization; None when that
+        does not exist, so some eigenvalue lies at or below shift."""
+        ldl_d, ldl_e, info = dpttrf(diag - shift, off)
+        return None if info else lambda x: dpttrs(ldl_d, ldl_e, x)[0]
+
+    def iterate(solve, sigma: float, reshift=None) -> tuple[float, float] | None:
+        """(theta, r + slack) once r is within its floor, in _MAX_SWEEPS;
+        `reshift` moves the shift of slow sweeps (above)."""
+        x, tol, r_last = x0, eps * tnorm, math.inf
         for _ in range(_MAX_SWEEPS):
             y = solve(x)
             norm = math.sqrt(y @ y)
             mu = (x @ y) / (norm * norm)
             r = np.linalg.norm(x - mu * y) / norm
-            if r <= tol:
-                return sigma + mu, r + slack
+            # an earlier iterate's floor screens the sweeps; the accepted
+            # iterate's own floor decides
+            if r <= tol and r <= (tol := floor(y, norm)):
+                return sigma + mu, r + _SLACK * tol
             x = y / norm
+            if reshift is not None and 3.0 * r > r_last:
+                shift = sigma + mu - r - _SLACK * floor(y, norm)
+                if shift > sigma and (moved := reshift(shift)) is not None:
+                    solve, sigma = moved, shift
+            r_last = r
         return None
 
-    sigma, step = guess[0] - spread[0], max(spread[0], tol)
-    while True:
-        ldl_d, ldl_e, info = dpttrf(diag - sigma, off)
-        if not info:
-            break
+    sigma = guess[0] - spread[0]
+    step = max(spread[0], 1e-12 * (1.0 + abs(guess[0])))
+    while (solve := ldl(sigma)) is None:
         if not sigma >= -tnorm:  # no eigenvalue lies below -||T||: T is not finite
             return None
         sigma, step = sigma - step, 2.0 * step
-    level = iterate(lambda x: dpttrs(ldl_d, ldl_e, x)[0], sigma)
+    level = iterate(solve, sigma, ldl)
     if level is None:
         return None
-    floor = level[0] - level[1]
-    if dpttrf(diag - floor, off)[2]:
+    floor_0 = level[0] - level[1]
+    if ldl(floor_0) is None:
         return None
     thetas, top = [level[0]], level[0] + level[1]
     for g in guess[1:]:
@@ -225,8 +325,8 @@ def _refine(
         top = level[0] + level[1]
     # the count's tolerance is its whole range: it bisects nothing
     if len(thetas) > 1 and eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="v", select_range=(floor, top),
-        tol=top - floor,
+        diag, off, eigvals_only=True, select="v", select_range=(floor_0, top),
+        tol=top - floor_0,
     ).size != len(thetas):
         return None
     return np.array(thetas)
@@ -241,13 +341,14 @@ def _lowest(
 ) -> np.ndarray:
     """The `count` lowest eigenvalues of the tridiagonal (diag, off): refined
     from `guess` when it estimates every level and the certificates hold,
-    otherwise found by index (dstebz, absolute tolerance eps ||T||_1)."""
+    otherwise found by index (dstebz, absolute tolerance _INDEX_TOL)."""
     if guess is not None and len(guess) == count:
         vals = _refine(diag, off, guess, spread)
         if vals is not None:
             return vals
     return eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
+        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1),
+        tol=_INDEX_TOL,
     )
 
 
@@ -255,13 +356,13 @@ def _predict(solved: list[np.ndarray]) -> tuple[np.ndarray | None, np.ndarray | 
     """(estimate, uncertainty) of the next finer grid's levels from the
     levels of the grids below it, finest last. With two grids, Richardson
     E_2h + (E_2h - E_4h)/4 within |E_2h - E_4h|; a level the grid below
-    does not have, or a single grid, gets E_2h within 10x the warning
-    threshold, relative to max(1, |E|)."""
+    does not have, or a single grid, gets E_2h within the warning threshold,
+    relative to max(1, |E|)."""
     if not solved:
         return None, None
     fine = solved[-1]
     guess = fine.copy()
-    spread = 10.0 * _WARN_REL * np.maximum(1.0, np.abs(fine))
+    spread = _WARN_REL * np.maximum(1.0, np.abs(fine))
     if len(solved) > 1:
         k = min(len(fine), len(solved[-2]))
         step = fine[:k] - solved[-2][:k]
@@ -272,6 +373,12 @@ def _predict(solved: list[np.ndarray]) -> tuple[np.ndarray | None, np.ndarray | 
 
 def fd_eigenvalues(spec: ProblemSpec, grid: GridSpec, count: int) -> list[float]:
     """Lowest `count` eigenvalues of the discretized operator, sorted ascending.
+
+    Both theories are discretized by one finite-volume scheme in the dual
+    variable u, with a Dirichlet edge at the grid's u_max. The grid is in the
+    theory's own radius: a Coulomb grid (x_min, x_max, N) is solved on the
+    uniform u grid of N nodes that ends at sqrt(x_max / kappa0) and keeps
+    the first node's offset c = x_min / h_x in its own spacing.
 
     The levels are solved on a cascade of similar grids: the output grid, its
     half grid with (points + 1) // 2 nodes, that grid's half, and so on, down
@@ -284,40 +391,76 @@ def fd_eigenvalues(spec: ProblemSpec, grid: GridSpec, count: int) -> list[float]
     factorization below the ground level proves nothing lies under it, the
     residual intervals are disjoint, and a Sturm count finds exactly `count`
     eigenvalues up to the top one. So the result is the `count` lowest
-    eigenvalues of the output grid to dstebz's absolute tolerance eps ||T||_1,
-    give or take the few eps ||T||_1 of rounding that dstebz's own Sturm
-    counts carry too. A grid whose certificate fails, or whose grid below has
-    fewer levels, is solved by index. A `count` larger than the output
-    grid's unknowns raises ValidationError.
+    eigenvalues of the output grid, each within a few times the rounding
+    floor of its residual. A grid whose certificate fails, or whose grid
+    below has fewer levels, is solved by index at the absolute tolerance
+    _INDEX_TOL. A `count` larger than the output grid's unknowns raises
+    ValidationError.
 
-    For pure-power boundary channels accuracy is best on a staggered grid
-    with u_min = (u_max - u_min)/(points - 1)/2, i.e. half a spacing off the
-    singular endpoint. Emits GridResolutionWarning when a half-grid Richardson
-    estimate puts the ground-level discretization error above 1e-3
-    relative."""
+    Accuracy is best on a staggered grid with u_min = (u_max - u_min) /
+    (points - 1) / 2, half a spacing off the singular endpoint: the
+    pure-power channels are superconvergent there, and a log-mixed channel's
+    asymptote is truncated least. Emits GridResolutionWarning for each fault
+    _resolution_faults finds: a Richardson estimate of the ground-level
+    error above 1e-3 relative, a box that the top level reaches, or a level
+    inside the first node."""
     if count < 1:
         raise ValidationError("count must be >= 1")
-    diag, off = _fd_matrix(spec, grid.nodes())
+    u = _fd_nodes(spec, grid, grid.points)
+    diag, off = _fd_matrix(spec, u)
     if count > len(diag):
         raise ValidationError(f"count {count} exceeds the grid's {len(diag)} unknowns")
-    c = grid.u_min * (grid.points - 1) / (grid.u_max - grid.u_min)  # u_min / h
     sizes = [(grid.points + 1) // 2]
     while (sizes[-1] + 1) // 2 >= _MIN_POINTS:
         sizes.append((sizes[-1] + 1) // 2)
     solved = []
     for points in reversed(sizes):
-        nodes = np.linspace(c * grid.u_max / (points - 1 + c), grid.u_max, points)
-        d, e = _fd_matrix(spec, nodes)
+        d, e = _fd_matrix(spec, _fd_nodes(spec, grid, points))
         solved.append(_lowest(d, e, min(count, len(d)), *_predict(solved)))
     vals = _lowest(diag, off, count, *_predict(solved))
-    err_est = abs(vals[0] - solved[-1][0]) / 3.0  # second-order Richardson
-    if err_est > _WARN_REL * max(1.0, abs(vals[0])):
-        warnings.warn(
-            f"grid too coarse: estimated ground-level error {err_est:.3g}",
-            GridResolutionWarning,
-            stacklevel=2,
-        )
+    for reason in _resolution_faults(spec, u, vals, solved):
+        warnings.warn(reason, GridResolutionWarning, stacklevel=2)
     return [float(v) for v in vals]
+
+
+# the box warning's least WKB action of the top level under its outer
+# barrier. The Dirichlet edge moves a level by about 0.1 exp(-2 action) of
+# itself (Coulomb m = 2 and 3: 1.7e-4 at action 3.1, 5.8e-4 at 2.4)
+_MIN_ACTION = 2.5
+
+
+def _resolution_faults(
+    spec: ProblemSpec, u: np.ndarray, vals: np.ndarray, solved: list[np.ndarray]
+) -> list[str]:
+    """Why the levels `vals` on the u nodes may miss the operator's by more
+    than 1e-3 relative: a Richardson estimate of the ground level's error at
+    the order the cascade observes, log2 of (E_4h - E_2h)/(E_2h - E_h)
+    clipped to [1, 2] (2 with no quarter grid); a box whose edge the top
+    level nearly reaches; or a log-mixed asymptote that changes sign inside
+    the first node, so that a level of that size lies below the grid."""
+    faults = []
+    fine, half = vals[0], solved[-1][0]
+    ratio = 4.0  # 2^order
+    if len(solved) > 1 and fine != half:
+        ratio = min(4.0, max(2.0, abs(solved[-2][0] - half) / abs(half - fine)))
+    err_est = abs(fine - half) / (ratio - 1.0)
+    if err_est > _WARN_REL * max(1.0, abs(fine)):
+        faults.append(f"grid too coarse: estimated ground-level error {err_est:.3g}")
+    k0, top, u0 = spec.kappa0, vals[-1], float(u[0])
+    w = u[:: -max(1, len(u) // 256)]  # from the edge inwards: the action needs few nodes
+    if spec.theory is Theory.OSCILLATOR:
+        q, r0 = spec.coupling * w * w - top, u0
+    else:
+        q, r0 = 4.0 * k0 * (spec.coupling - k0 * top * w * w), k0 * u0 * u0
+    q += (spec.m * spec.m - 0.25) / (w * w)  # -phi'' = (E B - A - (m^2 - 1/4)/u^2) phi
+    allowed = np.flatnonzero(q <= 0.0)
+    action = np.sqrt(q[: allowed[0] if allowed.size else len(q)]).sum() * (w[0] - w[1])
+    if action < _MIN_ACTION:
+        faults.append(f"box too small: level {top:.6g} decays only by exp(-{action:.3g})")
+    psi_as = _psi_as(spec)
+    if _power_channel(spec) is None and psi_as(r0)[0] * psi_as(1e-300 * r0)[0] < 0.0:
+        faults.append(f"a level lies inside the first node u = {u0:.3g}")
+    return faults
 
 
 # shooting meshes: _CELLS cells a span (a power of two), doubled up to

@@ -112,7 +112,7 @@ def _osc_at(kind: str, m: int, e: ComplexEnergy, lam: float, kappa0: float):
         pair = _osc_pair(e, lam, kappa0)
         return lambda u: pair(u)[1]
     if lam == 0:
-        return lambda u: _osc_solution_free(kind, m, u, e, kappa0)
+        return _osc_free_at(kind, m, e, kappa0)
     return _osc_par_at(kind, osc_parameters(m, e.value, lam), kappa0)
 
 
@@ -134,44 +134,40 @@ def _osc_pair(e: ComplexEnergy, lam: float, kappa0: float):
     """u -> (O1, O2_0) for m = 0 from one series pass per point (one J0/H1
     pair at lambda = 0): the n = 0 log channel carries O1's Phi along."""
     if lam == 0:
-        if e.value == 0:
-            raise ValidationError("lambda = 0 Bessel solutions need W != 0")
-        K, om00 = e.sqrt_forward(), _omega00(e, kappa0)
+        o1, o3 = _osc_free_at("O1", 0, e, kappa0), _osc_free_at("O3", 0, e, kappa0)
+        om00 = _omega00(e, kappa0)
 
         def free_pair(u: float) -> tuple[complex, complex]:
-            root = (kappa0 * u) ** 0.5
-            o1 = root * sf.bessel("J", 0, K * u)
-            return o1, -0.5j * math.pi * root * sf.bessel("H1", 0, K * u) + om00 * o1
+            v1 = o1(u)
+            return v1, o3(u) + om00 * v1
 
         return free_pair
     par = osc_parameters(0, e.value, lam)
     return cf.m0_pair(par.alpha, par.rho, 1.0, kappa0)
 
 
-def _osc_solution_free(
-    kind: str, m: int, u: float, W: ComplexEnergy, kappa0: float
-) -> complex:
-    if W.value == 0:
+def _osc_free_at(kind: str, m: int, e: ComplexEnergy, kappa0: float):
+    """u -> O1, O3 or O4 at lambda = 0, Bessel functions of K u, with K and
+    the normalizations built once per energy."""
+    if e.value == 0:
         raise ValidationError("lambda = 0 Bessel solutions need W != 0")
-    K = W.sqrt_forward()
-    n = abs(m)
+    K, n = e.sqrt_forward(), abs(m)
     if n == 0:
-        root = (kappa0 * u) ** 0.5
         if kind == "O1":
-            return root * sf.bessel("J", 0, K * u)
+            return lambda u: (kappa0 * u) ** 0.5 * sf.bessel("J", 0, K * u)
         if kind == "O3":
-            return -0.5j * math.pi * root * sf.bessel("H1", 0, K * u)
+            return lambda u: -0.5j * math.pi * (kappa0 * u) ** 0.5 * sf.bessel("H1", 0, K * u)
         raise ValidationError(f"unknown m=0 solution kind {kind!r}")
     d1 = kappa0**0.5 * math.factorial(n) * (K / (2 * kappa0)) ** (-n)
     d3 = math.pi * kappa0**0.5 * (K / (2 * kappa0)) ** n / math.factorial(n - 1)
     if kind == "O1":
-        return d1 * u**0.5 * sf.bessel("J", n, K * u)
+        return lambda u: d1 * u**0.5 * sf.bessel("J", n, K * u)
     if kind == "O3":
-        return 1j * d3 * u**0.5 * sf.bessel("H1", n, K * u)
+        return lambda u: 1j * d3 * u**0.5 * sf.bessel("H1", n, K * u)
     if kind == "O4":
-        return d3 * u**0.5 * (
-            sf.bessel("Y", n, K * u)
-            - (2.0 / math.pi) * sf.bessel("J", n, K * u) * cmath.log(K / kappa0)
+        log_k = cmath.log(K / kappa0)
+        return lambda u: d3 * u**0.5 * (
+            sf.bessel("Y", n, K * u) - (2.0 / math.pi) * sf.bessel("J", n, K * u) * log_k
         )
     raise ValidationError(f"unknown oscillator solution kind {kind!r}")
 

@@ -17,6 +17,7 @@ from radialspec.core import (
 from radialspec.oracle import (
     GridResolutionWarning,
     _fd_matrix,
+    _fd_nodes,
     _potential,
     _propagator,
     _psi_as,
@@ -100,14 +101,93 @@ def test_fd_warns_on_coarse_grid():
 
 
 def test_fd_log_mixed_family_cell():
-    # zeta < pi/2 members use the ratio boundary condition; its accuracy is
-    # limited by the log channel, so only loose agreement is asserted, and
-    # u_min must stay moderate (too small and the folded ratio degenerates)
+    # zeta < pi/2 members take the flux R chi_0 through the first node from
+    # the extension's asymptote, whose truncation grows with u_min: 1.3e-2 at
+    # u_min = 1e-2, which the cascade sees because its grids scale u_min with
+    # h. Half a spacing off the origin the level is held to 2e-4
     spec = ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7))
     closed = osc_spectrum(spec, levels=1).discrete[0][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GridResolutionWarning)
+        vals = fd_eigenvalues(spec, _staggered(9.0, 4000), 1)
+    assert abs(vals[0] - closed) < 5e-4 * max(1.0, abs(closed))
     with pytest.warns(GridResolutionWarning):
         vals = fd_eigenvalues(spec, GridSpec(1e-2, 9.0, 4000), 1)
-    assert abs(vals[0] - closed) < 5e-2 * max(1.0, abs(closed))
+    assert abs(vals[0] - closed) < 2e-2 * max(1.0, abs(closed))
+
+
+_HALF_PI = ExtensionParam(math.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "spec, u_max",
+    [
+        (ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 9.0),
+        (ProblemSpec(Theory.OSCILLATOR, 2, 2.5, 0.7), 7.0),
+        (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.3)), 9.0),
+        (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(-0.8)), 9.0),
+        (ProblemSpec(Theory.OSCILLATOR, 0, 2.5, 0.7, ExtensionParam(1.2)), 5.0),
+        (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, _HALF_PI), 9.0),
+        (ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 1.0, ExtensionParam(0.3)), 20.0),
+        (ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 0.7, ExtensionParam(-0.5)), 66.0),
+        (ProblemSpec(Theory.COULOMB, 2, -1.0), 270.0),
+        (ProblemSpec(Theory.COULOMB, 3, -0.5, 0.5), 650.0),
+        (ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, ExtensionParam(0.35)), 180.0),
+        (ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, _HALF_PI), 220.0),
+        (ProblemSpec(Theory.COULOMB, -1, -1.0, 1.0, ExtensionParam(-1.0)), 160.0),
+        (ProblemSpec(Theory.COULOMB, 1, -1.0, 0.5, ExtensionParam(0.35)), 180.0),
+        (ProblemSpec(Theory.COULOMB, 1, 1.0, 1.0, ExtensionParam(-0.3)), 25.0),
+        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(0.3)), 140.0),
+        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, _HALF_PI), 175.0),
+        (ProblemSpec(Theory.COULOMB, 0, -1.0, 0.5, ExtensionParam(0.3)), 140.0),
+        (ProblemSpec(Theory.COULOMB, 0, 1.0, 1.0, ExtensionParam(1.0)), 1.1),
+    ],
+    ids=[
+        "osc-m1", "osc-m2-k0.7", "osc-m0-z0.3", "osc-m0-z-0.8", "osc-m0-deep-k0.7",
+        "osc-m0-half-pi", "osc-m0-free-z0.3", "osc-m0-free-k0.7", "coul-m2",
+        "coul-m3-k0.5", "coul-m1-z0.35", "coul-m1-half-pi", "coul-m-1-z-1",
+        "coul-m1-k0.5", "coul-m1-repulsive", "coul-m0-z0.3", "coul-m0-half-pi",
+        "coul-m0-k0.5", "coul-m0-repulsive",
+    ],
+)
+def test_fd_matches_the_closed_form_in_every_cell(spec, u_max):
+    # every cell with discrete levels, both signs of g, kappa0 != 1 and the
+    # deep family levels (-106 and -519); the three cells with no discrete
+    # spectrum (lambda < 0, and lambda = 0 at |m| >= 1) have none to check.
+    # Up to 3 levels on 4001 staggered nodes within 1e-3, and the ground
+    # level on 64001 within 1e-5, relative to max(1, |E|)
+    spectrum = osc_spectrum if spec.theory is Theory.OSCILLATOR else coul_spectrum
+    closed = [e for e, _ in spectrum(spec, levels=3).discrete]
+    for points, count, tol in ((4001, len(closed), 1e-3), (64001, 1, 1e-5)):
+        vals = _fd_quiet(spec, _staggered(u_max, points), count)
+        for v, e in zip(vals, closed):
+            assert abs(v - e) <= tol * max(1.0, abs(e))
+
+
+@pytest.mark.parametrize(
+    "spec, u_max, fault",
+    [
+        # a shallow lambda = 0 level, E = -4.6e-4, does not fit the box
+        (ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 1.0, ExtensionParam(-1.32)), 15.0, "box too small"),
+        # near zeta = pi/2 the level E = -3.4e8 lies inside the first node, so
+        # every grid of the cascade misses it alike and Richardson sees nothing
+        (ProblemSpec(Theory.OSCILLATOR, 0, 1.08, 1.13, ExtensionParam(1.467)), 15.0,
+         "inside the first node"),
+        # the cascade observes order 1.5 here: a second-order estimate reads
+        # the 5.9e-3 error as 4.0e-3, under the 4.6e-3 threshold, and the
+        # observed-order one as 6.7e-3
+        (ProblemSpec(Theory.COULOMB, 1, 2.06, 1.04, ExtensionParam(0.66)), 234.0, "grid too coarse"),
+    ],
+    ids=["box", "inner-node", "observed-order"],
+)
+def test_verify_grids_that_breach_warn(spec, u_max, fault):
+    # radialspec verify's default grid (u_min = 1e-3, 4000 points, the box
+    # u <= 15 in both theories) on specs from a seeded sweep
+    spectrum = osc_spectrum if spec.theory is Theory.OSCILLATOR else coul_spectrum
+    closed = spectrum(spec, levels=3)
+    with pytest.warns(GridResolutionWarning, match=fault):
+        vals = fd_eigenvalues(spec, GridSpec(1e-3, u_max, 4000), len(closed.discrete))
+    assert not compare_spectra(closed, vals, tol=1e-3)["pass"]
 
 
 @pytest.mark.parametrize(
@@ -120,7 +200,7 @@ def test_fd_log_mixed_family_cell():
     ],
 )
 def test_potential_on_an_array_matches_pointwise(spec):
-    # the FD matrix applies the potential to the whole grid at once
+    # the Magnus propagator applies the potential to whole meshes at once
     nodes = np.linspace(1e-3, 15.0, 40000)
     vpot = _potential(spec)
     assert np.array_equal(vpot(nodes), np.array([vpot(u) for u in nodes]))
@@ -161,13 +241,14 @@ def _record_solves(monkeypatch):
 
 
 def _by_index(spec, grid, count):
-    """The full grid's `count` lowest levels by index, as every FD solve
-    once found them, and dstebz's absolute tolerance eps ||T||_1."""
+    """The full grid's `count` lowest levels by index at the oracle's index
+    tolerance, as every FD solve once found them, and eps ||T||_1."""
     from scipy.linalg import eigh_tridiagonal
 
-    diag, off = _fd_matrix(spec, grid.nodes())
+    diag, off = _fd_matrix(spec, _fd_nodes(spec, grid, grid.points))
     vals = eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
+        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1),
+        tol=oracle._INDEX_TOL,
     )
     col = np.abs(diag)
     col[:-1] += np.abs(off)
@@ -234,26 +315,28 @@ def test_unwarned_solve_indexes_only_the_coarsest_grid(monkeypatch):
         assert calls.count(("dgttrf", n)) == 1
 
 
-@pytest.mark.parametrize("points, failures", [(201, 0), (4001, 2)])
-def test_grids_whose_certificate_fails_are_solved_by_index(monkeypatch, points, failures):
-    # log-mixed cell: the FD ground level does not converge and climbs from
-    # grid to grid (-3.5 at 101 nodes, -1.2 at 201; -172, -16, -9.1 at 125,
-    # 249 and 499 nodes of the second cascade), so each ground shift sits far
-    # below its level. The iteration converges slowly, and on the 249- and
-    # 499-node grids it runs out of sweeps: those grids are indexed
+def test_grids_whose_certificate_fails_are_solved_to_the_index_tolerance(monkeypatch):
+    # Coulomb m = 1 at zeta = pi/2 on 40001 staggered nodes: T is graded
+    # towards u = 0 and eps ||T||_1 = 1.4 exceeds the level. With one sweep
+    # allowed no residual meets its floor, every certificate fails and each
+    # grid is solved by index. dstebz at its default tolerance eps ||T||_1
+    # would return -0.052 on the full grid; at the oracle's it returns the
+    # level to 1e-9
+    from scipy.linalg import eigh_tridiagonal
+
     calls = _record_solves(monkeypatch)
-    spec = ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7))
-    grid = GridSpec(1e-2, 9.0, points)
-    with pytest.warns(GridResolutionWarning):
-        vals = fd_eigenvalues(spec, grid, 1)
-    verdicts = {n: v for n, v in calls if v in ("ok", "fail")}
-    failed = [n for n, v in verdicts.items() if v == "fail"]
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 0)
+    spec = ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, ExtensionParam(math.pi / 2))
+    grid = _staggered(60.0, 40001)
+    vals = _fd_quiet(spec, grid, 1)
+    verdicts = [v for _, v in calls if v in ("ok", "fail")]
     indexed = [n for sel, n in calls if sel == "i"]
-    assert len(failed) == failures
-    assert indexed == [min(indexed)] + failed
-    assert verdicts[points - 2] == "ok"
-    ref, tol = _by_index(spec, grid, 1)
-    assert abs(vals[0] - ref[0]) <= 4.0 * tol
+    assert verdicts == ["fail"] * 8
+    assert indexed == [156, 312, 625, 1250, 2500, 5000, 10000, 20000, 40000]
+    assert abs(vals[0] + 0.25) < 1e-9
+    diag, off = _fd_matrix(spec, _fd_nodes(spec, grid, grid.points))
+    default = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))
+    assert abs(default[0] + 0.25) > 0.1
 
 
 def test_too_few_coarse_levels_index_both_grids(monkeypatch):
@@ -270,7 +353,7 @@ _OSC = ProblemSpec(Theory.OSCILLATOR, 1, 1.0), _staggered(9.0, 2001)
 
 
 def _osc_matrix():
-    diag, off = _fd_matrix(_OSC[0], _OSC[1].nodes())
+    diag, off = _fd_matrix(_OSC[0], _fd_nodes(*_OSC, _OSC[1].points))
     return diag, off, _by_index(*_OSC, 3)[0]
 
 
@@ -321,6 +404,27 @@ def test_ground_shift_above_the_level_steps_down(monkeypatch):
     assert infos[0] > 0 and infos[-2:] == [0, 0]
     assert all(info > 0 for info in infos[:-2])
     assert calls[-1] == (2000, "ok")
+    tol = np.finfo(float).eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
+    assert abs(vals[0] - exact[0]) <= 4.0 * tol
+
+
+def test_slow_ground_iteration_moves_its_shift_up(monkeypatch):
+    # sigma = lambda_0 - 20 with lambda_1 - lambda_0 = 4: each sweep cuts the
+    # residual by only 20/24, so a fixed shift would need about 150 sweeps
+    # and the grid would be indexed. A sweep that cuts the residual by less
+    # than 3 moves sigma up to theta - r - slack, proved by one more LDL^T:
+    # twice here, to lambda_0 - 3.8 and lambda_0 - 0.15, and 12 sweeps in all
+    import scipy.linalg.lapack as lapack
+
+    diag, off, exact = _osc_matrix()
+    calls = _record_solves(monkeypatch)
+    sweeps = []
+    solve = lapack.dpttrs
+    monkeypatch.setattr(lapack, "dpttrs", lambda *a: sweeps.append(1) or solve(*a))
+    vals = oracle._lowest(diag, off, 1, guess=exact[:1], spread=np.array([20.0]))
+    factorizations = calls.count(("dpttrf", 2000))
+    assert calls[-1] == (2000, "ok") and ("i", 2000) not in calls
+    assert factorizations == 4 and len(sweeps) < 15
     tol = np.finfo(float).eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
     assert abs(vals[0] - exact[0]) <= 4.0 * tol
 
