@@ -339,6 +339,29 @@ def test_grids_whose_certificate_fails_are_solved_to_the_index_tolerance(monkeyp
     assert abs(default[0] + 0.25) > 0.1
 
 
+@pytest.mark.parametrize("points, failures", [(201, 0), (4001, 2)])
+def test_grids_whose_certificate_fails_are_solved_by_index(monkeypatch, points, failures):
+    # log-mixed cell with 16 sweeps allowed per level: the ground level of
+    # the 201-node cascade's 200-unknown grid converges within them, while
+    # the 250- and 1000-unknown grids of the 4001-node cascade run out of
+    # sweeps (their ground shifts sit far below the level) and are indexed.
+    # The finer grids refine again from the indexed levels
+    calls = _record_solves(monkeypatch)
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 16)
+    spec = ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7))
+    grid = GridSpec(1e-2, 9.0, points)
+    with pytest.warns(GridResolutionWarning):
+        vals = fd_eigenvalues(spec, grid, 1)
+    verdicts = {n: v for n, v in calls if v in ("ok", "fail")}
+    failed = [n for n, v in verdicts.items() if v == "fail"]
+    indexed = [n for sel, n in calls if sel == "i"]
+    assert len(failed) == failures
+    assert indexed == [min(indexed)] + failed
+    assert verdicts[points - 1] == "ok"
+    ref, tol = _by_index(spec, grid, 1)
+    assert abs(vals[0] - ref[0]) <= 4.0 * tol
+
+
 def test_too_few_coarse_levels_index_both_grids(monkeypatch):
     # 101 nodes: 100 unknowns on the full grid, 50 on the 51-node half grid
     calls = _record_solves(monkeypatch)
