@@ -11,10 +11,9 @@ shots.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import specfun as sf
 from .core import (
@@ -35,10 +34,14 @@ __all__ = [
     "compare_spectra",
 ]
 
+# NumPy loads on the first solve, not on import: the closed forms never use it
+np = sf._LazyModule("numpy", globals(), "np")
+
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> np.ndarray:
-    """scipy.linalg.eigh_tridiagonal, imported on the first call: the closed
-    forms never need scipy.linalg, so importing radialspec does not load it."""
+    """scipy.linalg.eigh_tridiagonal, imported on the first call like NumPy
+    itself: the closed forms need neither, so importing radialspec loads
+    neither scipy.linalg nor NumPy."""
     from scipy.linalg import eigh_tridiagonal as eigh
 
     return eigh(d, e, **kwargs)
@@ -235,7 +238,7 @@ _SLACK = 4.0
 # dstebz's absolute tolerance for index solves. Its default eps ||T||_1 is
 # useless on T graded towards u = 0 (a Coulomb T in u has ||T||_1 ~ h^-4):
 # bisection then stops at the relative accuracy of its Sturm counts
-_INDEX_TOL = np.finfo(float).tiny
+_INDEX_TOL = sys.float_info.min  # np.finfo(float).tiny
 
 
 def _refine(

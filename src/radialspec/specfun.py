@@ -1,22 +1,24 @@
 """Complex special functions for the closed-form radial solutions.
 
 Log-gamma, digamma, trigamma and integer-order Bessel functions are
-delegated to scipy.  The confluent-hypergeometric machinery (Kummer Phi,
-Tricomi Psi at integer second parameter, and the logarithmic channel at
-integer b = n + 1, which gives the m = 0 family solutions at n = 0 and the
-fourth radial solutions at n = |m|) is implemented here directly as power
-series, under the convergence constants REL_TOL, MAX_TERMS and
-SWITCH_RADIUS.  Each of these kernels is a plan built once per parameter
-set (a, b), holding everything that does not depend on z, and summed per
-point; the solution closures keep one plan per energy and sum it at every
-radius.
+delegated to scipy.special, imported by the first call that needs it (see
+_LazyModule): the unique cells' levels and eigenfunctions need only math and
+cmath, so importing radialspec loads neither SciPy nor NumPy.  The
+confluent-hypergeometric machinery (Kummer Phi, Tricomi Psi at integer
+second parameter, and the logarithmic channel at integer b = n + 1, which
+gives the m = 0 family solutions at n = 0 and the fourth radial solutions at
+n = |m|) is implemented here directly as power series, under the convergence
+constants REL_TOL, MAX_TERMS and SWITCH_RADIUS.  Each of these kernels is a
+plan built once per parameter set (a, b), holding everything that does not
+depend on z, and summed per point; the solution closures keep one plan per
+energy and sum it at every radius.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
-from scipy import special as _sp
 
 __all__ = [
     "PoleError",
@@ -43,6 +45,24 @@ EULER_GAMMA = 0.5772156649015329  # -psi(1)
 REL_TOL = 1e-13
 MAX_TERMS = 500
 SWITCH_RADIUS = 30.0
+
+
+class _LazyModule:
+    """Stand-in for the module `name`, bound at global `alias` of `namespace`.
+
+    The first attribute access imports the module and rebinds the global to
+    it, so every later lookup reaches the module itself at no extra cost."""
+
+    def __init__(self, name: str, namespace: dict, alias: str):
+        self._name, self._namespace, self._alias = name, namespace, alias
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._name)
+        self._namespace[self._alias] = module
+        return getattr(module, attr)
+
+
+_sp = _LazyModule("scipy.special", globals(), "_sp")
 
 
 class PoleError(ArithmeticError):
@@ -98,25 +118,26 @@ def rgamma(z: complex) -> complex:
 def digamma(z: complex) -> complex:
     """psi(z); SciPy's real digamma on x > 0, where its complex one is ~20 ulp
     off, and the complex one elsewhere (the real reflection is worse)."""
+    z = complex(z)
+    if z.imag == 0 and z.real > _INT_TOL:  # no pole to test for
+        return complex(_sp.digamma(z.real))
     p = _nonpositive_int(z)
     if p is not None:
         raise PoleError(p, "digamma")
-    z = complex(z)
-    if z.imag == 0 and z.real > 0:
-        return complex(_sp.digamma(z.real))
     return complex(_sp.digamma(z))
 
 
 def trigamma(x: float) -> float:
-    """psi'(x) for real x (reflection handles x < 0)."""
+    """psi'(x) for real x (reflection handles x < 0). On x > 0, psi'(x) is
+    Hurwitz zeta(2, x), the value SciPy's polygamma(1, x) multiplies by 1."""
     p = _nonpositive_int(complex(x))
     if p is not None:
         raise PoleError(p, "trigamma")
     if x > 0:
-        return float(_sp.polygamma(1, x))
+        return float(_sp.zeta(2.0, x))
     # reflection: psi'(x) + psi'(1-x) = pi^2 / sin^2(pi x)
     s = math.sin(math.pi * x)
-    return math.pi**2 / (s * s) - float(_sp.polygamma(1, 1.0 - x))
+    return math.pi**2 / (s * s) - float(_sp.zeta(2.0, 1.0 - x))
 
 
 def pochhammer(z: complex, n: int) -> complex:

@@ -2,8 +2,7 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
+import pkgutil
 
 import pytest
 
@@ -311,15 +310,16 @@ def test_byte_stable_output():
 
 # ---------------------------------------------------------------- cold start
 
-# Run in a fresh interpreter: reports which of the heavy SciPy subpackages
-# are loaded after the import and after each subcommand, in this order.
+# Run in a fresh interpreter: reports which of NumPy and the SciPy subpackages
+# are loaded after the import and after each subcommand, in this order, and
+# which radialspec submodules the import loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
-loaded = lambda: [m for m in HEAVY if m in sys.modules]
+WATCH = ("numpy", "scipy.special", "scipy.optimize", "scipy.integrate", "scipy.linalg")
+loaded = lambda: [m for m in WATCH if m in sys.modules]
 import radialspec
+report = {"import": loaded(), "submodules": sorted(m for m in sys.modules if m.startswith("radialspec."))}
 from radialspec.cli import main
-report = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
@@ -328,32 +328,40 @@ print(json.dumps(report))
 """
 
 
-def test_closed_forms_load_no_heavy_scipy():
+def test_closed_forms_load_no_heavy_scipy(fresh_python):
+    def probe(*runs):
+        return json.loads(fresh_python("-c", _IMPORT_PROBE, json.dumps(runs)))
+
     coul = ["--theory", "coul", "--m", "1", "--coupling"]
-    runs = [
+    # unique cells first: their closed forms need neither NumPy nor SciPy
+    report = probe(
+        ["spectrum", "--theory", "osc", "--m", "2", "--coupling", "1", "--levels", "3"],
+        ["wavefunction", "--theory", "coul", "--m", "2", "--coupling", "-1", "--level", "1"],
+        ["duality", "--checks", "spectra", "--m", "1", "--coupling", "2", "--levels", "3"],
         ["spectrum", *coul, "-1", "--zeta", "0.4", "--levels", "3"],
         ["density", *coul, "0.8", "--zeta", "-1.2", "--emin", "0.1", "--emax", "2"],
-        ["duality", "--checks", "spectra", "--m", "1", "--coupling", "2", "--levels", "3"],
         ["duality", "--checks", "solutions", "--m", "1", "--samples", "5"],
         ["duality", "--checks", "coefficients", "--m", "2", "--samples", "5"],
-        ["verify", "--theory", "osc", "--m", "1", "--coupling", "1", "--points", "1001"],
-    ]
-    src = os.path.dirname(os.path.dirname(radialspec.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    report = json.loads(proc.stdout)
-    verify = report.pop("verify --theory osc")
+    # import radialspec loads every submodule but the CLI (bench/tracer.py
+    # wraps the oracle's names right after it), and neither NumPy nor SciPy
+    package = os.path.dirname(radialspec.__file__)
+    names = {n for _, n, _ in pkgutil.iter_modules([package])} - {"cli"}
+    assert report.pop("submodules") == sorted(f"radialspec.{n}" for n in names)
+    # digamma and log-gamma load scipy.special (and with it NumPy)
+    special = ["numpy", "scipy.special"]
     assert report == {
         "import": [],
-        "spectrum --theory coul": [0, []],
-        "density --theory coul": [0, []],
+        "spectrum --theory osc": [0, []],
+        "wavefunction --theory coul": [0, []],
         "duality --checks spectra": [0, []],
-        "duality --checks solutions": [0, []],
-        "duality --checks coefficients": [0, []],
+        "spectrum --theory coul": [0, special],
+        "density --theory coul": [0, special],
+        "duality --checks solutions": [0, special],
+        "duality --checks coefficients": [0, special],
     }
-    # the finite-difference oracle needs scipy.linalg and nothing else
-    assert verify == [0, ["scipy.linalg"]]
+    # the finite-difference oracle needs NumPy and scipy.linalg, not scipy.special
+    report = probe(
+        ["verify", "--theory", "osc", "--m", "1", "--coupling", "1", "--points", "1001"]
+    )
+    assert report["verify --theory osc"] == [0, ["numpy", "scipy.linalg"]]

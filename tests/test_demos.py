@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-
-import radialspec
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -19,11 +14,5 @@ def test_every_demo_is_collected():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
-def test_demo_runs(demo):
-    src = os.path.dirname(os.path.dirname(radialspec.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip()
+def test_demo_runs(demo, fresh_python):
+    assert fresh_python(str(demo)).strip()

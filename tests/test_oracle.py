@@ -1,7 +1,5 @@
+import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -28,6 +26,7 @@ from radialspec.oracle import (
 )
 from radialspec.coulomb import coul_spectrum
 from radialspec.oscillator import osc_spectrum
+from radialspec.specfun import bessel, digamma
 
 from package_imports import package_imports
 
@@ -684,24 +683,46 @@ def test_shot_error_estimate_bounds_a_finer_solve(monkeypatch, spec, u_max, dop8
     assert abs(shoot_eigenvalue(spec, bracket, u_max=u_max) - e) <= 1e-10 * max(1.0, abs(e))
 
 
-# a fresh interpreter shoots once and reports whether scipy.integrate loaded
+# A fresh interpreter reports NumPy and SciPy as the import left them, then
+# makes the first call of each lazily bound path (oracle's NumPy, specfun's
+# scipy.special: the first call goes through the stand-in, later ones reach
+# the module) and reports the values and which modules were loaded by then
 _SHOOT_PROBE = """
-import sys
-from radialspec import ProblemSpec, Theory
-from radialspec.oracle import shoot_eigenvalue
-shoot_eigenvalue(ProblemSpec(Theory.OSCILLATOR, 1, 1.0), (3.6, 4.4))
-print("scipy.integrate" in sys.modules)
+import json, sys
+WATCH = ("numpy", "scipy.special", "scipy.linalg", "scipy.integrate")
+loaded = lambda: [m for m in WATCH if m in sys.modules]
+from radialspec import GridSpec, ProblemSpec, Theory, oracle, specfun
+out = {"import": loaded()}
+spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
+out["fd"] = oracle.fd_eigenvalues(spec, GridSpec(*json.loads(sys.argv[1])), 2)
+out["shot"] = oracle.shoot_eigenvalue(spec, (3.6, 4.4))
+out["oracle"] = loaded()
+j, psi = specfun.bessel("J", 1, 2.5 + 0.5j), specfun.digamma(0.7)
+out["special"] = [j.real, j.imag, psi.real, psi.imag]
+out["loaded"] = loaded()
+out["rebound"] = [oracle.np is sys.modules["numpy"], specfun._sp is sys.modules["scipy.special"]]
+print(json.dumps(out))
 """
 
 
-def test_shooting_does_not_load_scipy_integrate():
-    src = os.path.dirname(os.path.dirname(oracle.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SHOOT_PROBE], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert proc.stdout.strip() == "False"
+def test_shooting_does_not_load_scipy_integrate(fresh_python):
+    grid = _staggered(9.0, 1000)
+    args = json.dumps([grid.u_min, grid.u_max, grid.points])
+    out = json.loads(fresh_python("-c", _SHOOT_PROBE, args))
+    assert out.pop("import") == []
+    assert out.pop("oracle") == ["numpy", "scipy.linalg"]
+    assert out.pop("loaded") == ["numpy", "scipy.special", "scipy.linalg"]
+    assert out.pop("rebound") == [True, True]
+    # the first calls return what this warm process does, bit for bit
+    spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
+    j, psi = bessel("J", 1, 2.5 + 0.5j), digamma(0.7)
+    assert out == {
+        "fd": fd_eigenvalues(spec, grid, 2),
+        "shot": shoot_eigenvalue(spec, (3.6, 4.4)),
+        "special": [j.real, j.imag, psi.real, psi.imag],
+    }
+    # the index tolerance is NumPy's, without NumPy at import
+    assert oracle._INDEX_TOL == np.finfo(float).tiny
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import random
 
 import mpmath as mp
 import pytest
+from scipy import special
 
 from radialspec import coulomb
 from radialspec import specfun as sf
@@ -88,6 +89,8 @@ def test_digamma_positive_real_axis_against_mpmath():
     # about 20 ulp off on this axis
     assert digamma(1.0) == -EULER_GAMMA
     assert digamma(1.0).imag == 0.0
+    with pytest.raises(PoleError):  # within the pole tolerance of 0
+        digamma(1e-13)
     rng = random.Random(2011)
     with mp.workdps(40):
         for _ in range(2000):
@@ -139,6 +142,17 @@ def test_trigamma_positive_and_reflection():
     x = -2.3
     s = math.sin(math.pi * x)
     assert abs(trigamma(x) + trigamma(1 - x) - math.pi**2 / s**2) < 1e-9
+    # bit for bit SciPy's polygamma(1, x), through the reflection for x < 0
+    rng = random.Random(1011)
+    xs = [10.0 ** rng.uniform(-8.0, 6.0) for _ in range(300)]
+    xs += [-rng.uniform(0.0, 50.0) for _ in range(100)] + [-0.5, -2.3, -1e-6]
+    for x in xs:
+        if x > 0:
+            ref = float(special.polygamma(1, x))
+        else:
+            s = math.sin(math.pi * x)
+            ref = math.pi**2 / (s * s) - float(special.polygamma(1, 1.0 - x))
+        assert trigamma(x) == ref, x
 
 
 def test_pochhammer_product():
