@@ -1,11 +1,11 @@
 """Independent numerical verification of the closed-form spectra.
 
-A finite-volume eigensolver (a symmetric tridiagonal pencil) that solves both
-theories in the dual variable u = sqrt(x / kappa0), and a shooting solver on
-a fourth-order Magnus propagator for the radial equations. The extension
-families enter through the small-radius asymptote psi_as: its
-log-derivative is the inner flux of the finite volumes and the start of the
-shots.
+Both radial equations are one in the dual variable u = sqrt(x / kappa0)
+(_equation). A finite-volume eigensolver (a symmetric tridiagonal pencil)
+solves both in u, and a shooting solver on a fourth-order Magnus propagator
+each in its own radius. The extension families enter through one Frobenius
+start in u (_frobenius), summed at the energy at hand: its flux is the inner
+row of the finite volumes, and it starts the shots.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from . import specfun as sf
 from .core import (
     ProblemSpec,
-    RegimeClass,
     SpectralMeasure,
     Theory,
     ValidationError,
@@ -40,8 +39,7 @@ np = sf._LazyModule("numpy", globals(), "np")
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> np.ndarray:
     """scipy.linalg.eigh_tridiagonal, imported on the first call like NumPy
-    itself: the closed forms need neither, so importing radialspec loads
-    neither scipy.linalg nor NumPy."""
+    itself: importing radialspec loads neither."""
     from scipy.linalg import eigh_tridiagonal as eigh
 
     return eigh(d, e, **kwargs)
@@ -76,7 +74,8 @@ class GridSpec:
 
 
 def _potential(spec: ProblemSpec):
-    """V(u), elementwise: takes a float or an array of radii."""
+    """V(r) in the theory's own radius, which the shots propagate in,
+    elementwise: takes a float or an array of radii."""
     m2 = spec.m * spec.m
     if spec.theory is Theory.OSCILLATOR:
         lam = spec.coupling
@@ -85,65 +84,85 @@ def _potential(spec: ProblemSpec):
     return lambda x: (m2 - 1.0) / (4.0 * x * x) + g / x
 
 
-def _psi_as(spec: ProblemSpec):
-    """u -> (psi, psi') of the small-radius asymptote selecting the
-    self-adjoint extension, both in closed form."""
-    p = _power_channel(spec)
-    if p is not None:
-        if spec.theory is Theory.OSCILLATOR:
-            return lambda u: (u**p, p * u ** (p - 1.0))
-        # first Frobenius factor: x^p (1 + c1 x) with c1 = g / (2p) = g / (1 + |m|)
-        c1 = spec.coupling / (2.0 * p)
-        return lambda x: (
-            x**p * (1.0 + c1 * x), x ** (p - 1.0) * (p * (1.0 + c1 * x) + c1 * x)
-        )
-    cell = classify(spec)
-    k0 = spec.kappa0
-    zeta = spec.zeta
-    s, c = math.sin(zeta), math.cos(zeta)
-    if spec.theory is Theory.OSCILLATOR or cell is RegimeClass.COUL_M0_FAMILY:
-        # sqrt(k0 u) (s + w c ln(k0 u)), log weight w = 1 (oscillator) or 1/2
-        w = 1.0 if spec.theory is Theory.OSCILLATOR else 0.5
+def _equation(spec: ProblemSpec) -> tuple[float, float, float, float]:
+    """(a0, a2, b0, b2) of -phi'' + ((m^2 - 1/4)/u^2 + a0 + a2 u^2) phi =
+    E (b0 + b2 u^2) phi, the radial equation of either theory in u.
 
-        def root_log(u: float) -> tuple[float, float]:
-            root, bracket = math.sqrt(k0 * u), s + w * c * math.log(k0 * u)
-            return root * bracket, root * (0.5 * bracket + w * c) / u
-
-        return root_log
-    g = spec.coupling
-    return lambda x: (
-        k0 * x * s + c * (1.0 + g * x * (math.log(k0 * x) + 2.0 * sf.EULER_GAMMA - 1.0)),
-        k0 * s + c * g * (math.log(k0 * x) + 2.0 * sf.EULER_GAMMA),
-    )
-
-
-def _power_channel(spec: ProblemSpec) -> float | None:
-    """Exponent p when the boundary channel is the pure power u^p (unique
-    cells and the zeta = pi/2 member of each family); None for log-mixed
-    boundary conditions."""
-    classify(spec)  # enforces the extension rules
-    if spec.extension is not None and not spec.extension.is_half_pi:
-        return None
+    The oscillator's is -phi'' + ((m^2 - 1/4)/u^2 + lambda u^2) phi = W phi
+    in u itself. For the Coulomb -psi'' + ((m^2 - 1)/(4 x^2) + g/x) psi =
+    E psi, put x = kappa0 u^2 and psi = u^(1/2) phi: d/dx = d/du / (2 kappa0 u)
+    gives psi_xx = u^(1/2) (phi'' - 3/4 phi / u^2) / (4 kappa0^2 u^2), and
+    multiplying by -4 kappa0^2 u^(3/2) leaves -phi'' + ((m^2 - 1/4)/u^2 +
+    4 kappa0 g) phi = 4 kappa0^2 E u^2 phi. With phi = u^p chi, p = 1/2 +- |m|
+    (so p (p - 1) = m^2 - 1/4) and w = u^(2p), it is the flux form
+        -(w chi')' + (a0 + a2 u^2) w chi = E (b0 + b2 u^2) w chi.
+    Pure-power channels take p = 1/2 + |m| (chi regular, zero flux at u = 0),
+    log-mixed ones p = 1/2 - |m| (both channels enter (chi, w chi') at O(1))."""
     if spec.theory is Theory.OSCILLATOR:
-        return 0.5 + abs(spec.m)
-    return 0.5 * (1 + abs(spec.m))
+        return 0.0, spec.coupling, 1.0, 0.0
+    k0 = spec.kappa0
+    return 4.0 * k0 * spec.coupling, 0.0, 0.0, 4.0 * k0 * k0
 
 
-# Both theories read the same equation in the dual variable u = sqrt(x / kappa0).
-# The oscillator's is -phi'' + ((m^2 - 1/4)/u^2 + lambda u^2) phi = W phi in
-# u itself. For the Coulomb equation -psi'' + ((m^2 - 1)/(4 x^2) + g/x) psi
-# = E psi, put x = kappa0 u^2 and psi = u^(1/2) phi: d/dx = d/du / (2 kappa0 u)
-# gives psi_xx = u^(1/2) (phi'' - 3/4 phi / u^2) / (4 kappa0^2 u^2), and
-# multiplying by -4 kappa0^2 u^(3/2) leaves
-#     -phi'' + ((m^2 - 1/4)/u^2 + 4 kappa0 g) phi = 4 kappa0^2 E u^2 phi.
-# So both are -phi'' + ((m^2 - 1/4)/u^2 + A) phi = E B phi, with (A, B) =
-# (lambda u^2, 1) or (4 kappa0 g, 4 kappa0^2 u^2). With phi = u^p chi and
-# p = 1/2 +- |m|, so that p (p - 1) = m^2 - 1/4, the singular pair is
-# u^(-p) times -(w chi')' with w = u^(2p), and the equation is the flux form
-#     -(w chi')' + A w chi = E B w chi.
-# Pure-power channels take p = 1/2 + |m| (chi regular, zero flux at u = 0);
-# log-mixed ones take p = 1/2 - |m|, where both channels enter (chi, w chi')
-# at O(1) and the extension fixes their ratio at the first node.
+def _mixing(spec: ProblemSpec) -> tuple[float, float]:
+    """(A, B): the extension selects A phi_log + B phi_+ (_frobenius); A = 0
+    in the pure-power channels (unique cells, and zeta = pi/2 in a family).
+    Else the paper's boundary conditions fix the ratio: phi ~ u^(1/2) (sin
+    zeta + cos zeta ln kappa0 u) at m = 0 in both theories, and at |m| = 1
+    the Coulomb psi ~ kappa0 x sin zeta + cos zeta (1 + g x (ln kappa0 x +
+    2 gamma - 1)), whose channels x and 1 + g x ln x are kappa0 u^(1/2) phi_+
+    and u^(1/2) (phi_log + kappa0 g ln kappa0 phi_+)."""
+    classify(spec)  # enforces the extension rules
+    if spec.extension is None or spec.extension.is_half_pi:
+        return 0.0, 1.0
+    s, c, k0 = math.sin(spec.zeta), math.cos(spec.zeta), spec.kappa0
+    if spec.m == 0:
+        return c, s + c * math.log(k0)
+    return c, k0 * (k0 * s + c * spec.coupling * (2.0 * math.log(k0) + 2.0 * sf.EULER_GAMMA - 1.0))
+
+
+_FROBENIUS_TERMS = 400  # a start that needs more raises
+_EPS = sys.float_info.epsilon
+
+
+def _frobenius(spec: ProblemSpec, E: complex, u: float, nu: float = 0.0) -> tuple[complex, complex]:
+    """(f, u f') at u for f = u^nu phi, phi the solution the extension
+    selects at energy E, summed termwise in t = u^2 (nu shifts each exponent,
+    so no leading power cancels in u f'). With n = |m|, alpha = a0 - E b0 and
+    beta = a2 - E b2 from _equation,
+        phi_+ = u^(1/2 + n) sum c_k t^k,  4k (k + n) c_k = alpha c_(k-1) + beta c_(k-2),
+    c_0 = 1, and in the family cells (n = 0 or 1) the log channel
+        phi_log = C ln(u) phi_+ + u^(1/2 - n) sum d_k t^k,
+        4k (k - n) d_k = alpha d_(k-1) + beta d_(k-2) - C (4k - 2n) c_(k-n),
+    d_n = 0, C = 1 and d_0 = 0 at n = 0, d_0 = 1 and C = alpha / 2 at n = 1;
+    phi = A phi_log + B phi_+ (_mixing). E may be complex."""
+    (a0, a2, b0, b2), (mix, plus) = _equation(spec), _mixing(spec)
+    al, be, n, t = a0 - E * b0, a2 - E * b2, abs(spec.m), u * u
+    big_c = 0.5 * al if n else 1.0
+    # the terms c_k t^k and d_k t^k, and the sums of c_k t^k, k c_k t^k, d_k t^k, ...
+    c, c_prev, d, d_prev = 1.0, 0.0, (float(n) if mix else 0.0), 0.0
+    s_c, s_ck, s_d, s_dk, al_t, be_t2 = 1.0, 0.0, d, 0.0, al * t, be * t * t
+    for k in range(1, _FROBENIUS_TERMS):
+        c_new, d_new = (al_t * c + be_t2 * c_prev) / (4 * k * (k + n)), 0.0
+        if mix and k != n:
+            c_kn = c * t if n else c_new  # c_(k-n) t^k
+            d_new = (al_t * d + be_t2 * d_prev - big_c * (4 * k - 2 * n) * c_kn) / (4 * k * (k - n))
+        c_prev, c, d_prev, d = c, c_new, d, d_new
+        s_c, s_ck, s_d, s_dk = s_c + c, s_ck + k * c, s_d + d, s_dk + k * d
+        # two terms in a row, so that a zero c_k or d_k ends no sum; an
+        # overflowed sum ends none
+        if abs(c) + abs(c_prev) + abs(d) + abs(d_prev) <= _EPS * (abs(s_c) + abs(s_d)) < math.inf:
+            break
+    else:
+        raise ValidationError(f"the Frobenius start did not converge at u = {u:.3g}")
+    hi, lo = 0.5 + n + nu, 0.5 - n + nu  # the channels' exponents in f
+    f_p, du_p = u**hi * s_c, u**hi * (hi * s_c + 2.0 * s_ck)
+    f, du = plus * f_p, plus * du_p
+    if mix:
+        ln_u = math.log(u)
+        f += mix * (big_c * ln_u * f_p + u**lo * s_d)
+        du += mix * (big_c * (f_p + ln_u * du_p) + u**lo * (lo * s_d + 2.0 * s_dk))
+    return f, du
 
 
 def _fd_nodes(spec: ProblemSpec, grid: GridSpec, points: int) -> np.ndarray:
@@ -177,17 +196,19 @@ def _fd_matrix(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """(diagonal, off-diagonal) of T = M^(-1/2) K M^(-1/2) for the finite
     volumes K - E M of the flux form on the uniform u nodes, one unknown per
     node but the last, a Dirichlet node. Cell i spans the midpoints next to
-    u_i; K holds the faces and the A term, M the lumped B term.
+    u_i; K holds the faces and the a0 + a2 u^2 term, M the b0 + b2 u^2 term.
 
     Pure-power channels take midpoint faces w((u_i + u_(i+1))/2)/h and node
     masses w(u_i) h, which keep staggered grids superconvergent, and zero
     flux at u = 0. Log-mixed channels take exact integrals (the face
-    1/int u^(-2p), the cells int w and int u^2 w) and their first cell, from
-    u_0, takes the flux R chi_0 that the asymptote _psi_as gives. Every
-    exponent is odd, so no weight needs a pow. The arrays are updated in
-    place: on fine grids, allocating them costs more than the arithmetic."""
-    k0 = spec.kappa0
-    pure = _power_channel(spec) is not None
+    1/int u^(-2p), the cells int w and int u^2 w), and the flux R(E) chi_0
+    of the Frobenius start at u_0, R = w (ln chi)': R(0) goes into K and its
+    exact slope R'(0), by a complex step, off the first cell's mass (about
+    the mass of (0, u_0)), so the pencil stays linear in E. No weight needs
+    a pow. The arrays are updated in place: on fine grids, allocating them
+    costs more than the arithmetic."""
+    a0, a2, b0, b2 = _equation(spec)
+    pure = not _mixing(spec)[0]
     p = 0.5 + abs(spec.m) if pure else 0.5 - abs(spec.m)
     n2p = round(2.0 * p)
     v, h = u[:-1], u[1] - u[0]
@@ -198,28 +219,25 @@ def _fd_matrix(spec: ProblemSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
         face /= h
         int_w = _odd_power(v, n2p)
         int_w *= h
-        int_u2w, inner = int_w * v, 0.0
+        int_u2w = int_w * v
         int_u2w *= v
     else:
         face = 1.0 / _power_integral(-n2p, v, u[1:])
         a, b = np.concatenate([u[:1], mid[:-1]]), mid
         int_w, int_u2w = _power_integral(n2p, a, b), _power_integral(n2p + 2, a, b)
-        # chi = u^(-p - q) psi(r) at r = u (q = 0) or kappa0 u^2 (q = 1/2)
-        u0 = float(u[0])
-        r, dr, q = (u0, 1.0, 0.0) if spec.theory is Theory.OSCILLATOR else (
-            k0 * u0 * u0, 2.0 * k0 * u0, 0.5)
-        psi, dpsi = _psi_as(spec)(r)
-        inner = (dr * dpsi / psi - (p + q) / u0) * u0**n2p  # R = w (ln chi)'
-    if spec.theory is Theory.OSCILLATOR:
-        k, mass = int_u2w, int_w
-        k *= spec.coupling
-    else:
-        k, mass = int_w, int_u2w
-        k *= 4.0 * k0 * spec.coupling
-        mass *= 4.0 * k0 * k0
+    # a0 + a2 u^2 and b0 + b2 u^2 are single, different powers of u in either
+    # theory, so K and M each scale one of the two integrals
+    k, mass = (int_w, int_u2w) if b2 else (int_u2w, int_w)
+    k *= a0 + a2
+    mass *= b0 + b2
+    if not pure:
+        u0, step = float(u[0]), 1e-20  # a complex step: R(i s) = R(0) + i s R'(0)
+        chi, du_chi = _frobenius(spec, 1j * step, u0, -p)
+        flux = du_chi / chi * u0 ** (n2p - 1)  # R = w chi'/chi at u_0
+        k[0] += flux.real
+        mass[0] -= flux.imag / step
     k += face  # the last face reaches the Dirichlet node
     k[1:] += face[:-1]
-    k[0] += inner
     k /= mass
     off = mass[:-1] * mass[1:]
     np.sqrt(off, out=off)
@@ -377,36 +395,27 @@ def _predict(solved: list[np.ndarray]) -> tuple[np.ndarray | None, np.ndarray | 
 def fd_eigenvalues(spec: ProblemSpec, grid: GridSpec, count: int) -> list[float]:
     """Lowest `count` eigenvalues of the discretized operator, sorted ascending.
 
-    Both theories are discretized by one finite-volume scheme in the dual
-    variable u, with a Dirichlet edge at the grid's u_max. The grid is in the
-    theory's own radius: a Coulomb grid (x_min, x_max, N) is solved on the
-    uniform u grid of N nodes that ends at sqrt(x_max / kappa0) and keeps
-    the first node's offset c = x_min / h_x in its own spacing.
+    Both theories are discretized by one finite-volume scheme in u
+    (_fd_matrix), with a Dirichlet edge at the grid's end; GridSpec says how
+    a Coulomb grid maps to u. The levels are solved on a cascade of similar
+    grids: the output grid, its half grid with (points + 1) // 2 nodes, and
+    so on down to the coarsest with at least 100 nodes (the half grid is
+    always solved). Each keeps the first node's offset c = u_min / h,
+    u_min' = c u_max / (points' - 1 + c), so a staggered grid stays
+    staggered. Only the coarsest grid is solved by index (dstebz). Each finer
+    grid refines the levels the grids below it predict and certifies them
+    (_refine), so the result is the `count` lowest eigenvalues of the output
+    grid, each within a few times the rounding floor of its residual. A grid
+    whose certificate fails, or whose grid below has fewer levels, is solved
+    by index at the absolute tolerance _INDEX_TOL. A `count` larger than the
+    output grid's unknowns raises ValidationError.
 
-    The levels are solved on a cascade of similar grids: the output grid, its
-    half grid with (points + 1) // 2 nodes, that grid's half, and so on, down
-    to the coarsest grid with at least 100 nodes (the half grid is always
-    solved). Every grid ends at u_max and keeps the first node's offset
-    c = u_min / h in its own spacing, u_min' = c u_max / (points' - 1 + c), so
-    a staggered grid stays staggered. Only the coarsest grid is solved by
-    index (dstebz). Each finer grid refines the levels the grids below it
-    predict by shift-invert iteration, and certifies them: an LDL^T
-    factorization below the ground level proves nothing lies under it, the
-    residual intervals are disjoint, and a Sturm count finds exactly `count`
-    eigenvalues up to the top one. So the result is the `count` lowest
-    eigenvalues of the output grid, each within a few times the rounding
-    floor of its residual. A grid whose certificate fails, or whose grid
-    below has fewer levels, is solved by index at the absolute tolerance
-    _INDEX_TOL. A `count` larger than the output grid's unknowns raises
-    ValidationError.
-
-    Accuracy is best on a staggered grid with u_min = (u_max - u_min) /
-    (points - 1) / 2, half a spacing off the singular endpoint: the
-    pure-power channels are superconvergent there, and a log-mixed channel's
-    asymptote is truncated least. Emits GridResolutionWarning for each fault
-    _resolution_faults finds: a Richardson estimate of the ground-level
-    error above 1e-3 relative, a box that the top level reaches, or a level
-    inside the first node."""
+    Accuracy is best on a staggered grid, u_min = (u_max - u_min) /
+    (points - 1) / 2, where the pure-power channels are superconvergent; a
+    log-mixed channel's inner flux is the Frobenius start's at any u_min.
+    Emits GridResolutionWarning for each fault _resolution_faults finds: a
+    Richardson estimate of the ground-level error above 1e-3 relative, a box
+    that the top level reaches, or a level inside the first node."""
     if count < 1:
         raise ValidationError("count must be >= 1")
     u = _fd_nodes(spec, grid, grid.points)
@@ -439,8 +448,8 @@ def _resolution_faults(
     than 1e-3 relative: a Richardson estimate of the ground level's error at
     the order the cascade observes, log2 of (E_4h - E_2h)/(E_2h - E_h)
     clipped to [1, 2] (2 with no quarter grid); a box whose edge the top
-    level nearly reaches; or a log-mixed asymptote that changes sign inside
-    the first node, so that a level of that size lies below the grid."""
+    level nearly reaches; or a log-mixed start (at E = 0) that changes sign
+    inside the first node, so that a level of that size lies below the grid."""
     faults = []
     fine, half = vals[0], solved[-1][0]
     ratio = 4.0  # 2^order
@@ -449,19 +458,16 @@ def _resolution_faults(
     err_est = abs(fine - half) / (ratio - 1.0)
     if err_est > _WARN_REL * max(1.0, abs(fine)):
         faults.append(f"grid too coarse: estimated ground-level error {err_est:.3g}")
-    k0, top, u0 = spec.kappa0, vals[-1], float(u[0])
+    (a0, a2, b0, b2), top, u0 = _equation(spec), vals[-1], float(u[0])
     w = u[:: -max(1, len(u) // 256)]  # from the edge inwards: the action needs few nodes
-    if spec.theory is Theory.OSCILLATOR:
-        q, r0 = spec.coupling * w * w - top, u0
-    else:
-        q, r0 = 4.0 * k0 * (spec.coupling - k0 * top * w * w), k0 * u0 * u0
-    q += (spec.m * spec.m - 0.25) / (w * w)  # -phi'' = (E B - A - (m^2 - 1/4)/u^2) phi
+    w2 = w * w  # -phi'' = (E (b0 + b2 u^2) - a0 - a2 u^2 - (m^2 - 1/4)/u^2) phi
+    q = a0 + a2 * w2 - top * (b0 + b2 * w2) + (spec.m * spec.m - 0.25) / w2
     allowed = np.flatnonzero(q <= 0.0)
     action = np.sqrt(q[: allowed[0] if allowed.size else len(q)]).sum() * (w[0] - w[1])
     if action < _MIN_ACTION:
         faults.append(f"box too small: level {top:.6g} decays only by exp(-{action:.3g})")
-    psi_as = _psi_as(spec)
-    if _power_channel(spec) is None and psi_as(r0)[0] * psi_as(1e-300 * r0)[0] < 0.0:
+    inner = _frobenius(spec, 0.0, u0)[0] * _frobenius(spec, 0.0, 1e-300 * u0)[0]
+    if _mixing(spec)[0] and inner < 0.0:
         faults.append(f"a level lies inside the first node u = {u0:.3g}")
     return faults
 
@@ -519,19 +525,14 @@ def _magnus(vpot, a, b, cells: int):
     return products
 
 
-def _propagator(vpot, a: float, b: float):
-    """(E, y0) -> (psi, psi')(b) / max|.| given (psi, psi')(a) = y0: _magnus on n and
-    2n cells, Richardson-extrapolated, n doubling until the estimate is in _SHOOT_REL."""
-
-    def propagate(E: float, y0) -> np.ndarray:
-        for level in range(_MAX_DOUBLINGS + 1):
-            ys = _magnus(vpot, [a], [b], _CELLS << level)(E)[..., 0].transpose(2, 0, 1) @ y0
-            coarse, fine = ys / np.abs(ys).max(axis=1, keepdims=True)
-            if np.abs(fine - coarse).max() <= 15.0 * _SHOOT_REL:
-                return (y := fine + (fine - coarse) / 15.0) / np.abs(y).max()
-        raise ValidationError(f"propagation missed its tolerance {_SHOOT_REL:.3g}")
-
-    return propagate
+def _shot_start(spec: ProblemSpec, E: float, r: float) -> tuple[float, float]:
+    """(psi, psi') of the Frobenius start at the theory's own radius r: phi(r),
+    or the Coulomb u^(1/2) phi(u) at u = sqrt(x / kappa0), x psi_x = u psi_u / 2."""
+    if spec.theory is Theory.OSCILLATOR:
+        psi, du_psi = _frobenius(spec, E, r)
+        return psi, du_psi / r
+    psi, du_psi = _frobenius(spec, E, math.sqrt(r / spec.kappa0), 0.5)
+    return psi, du_psi / (2.0 * r)
 
 
 def shoot_eigenvalue(
@@ -544,7 +545,10 @@ def shoot_eigenvalue(
     normalized Wronskian F of the outward and inward solutions at a midpoint,
     Richardson-extrapolated from _magnus on n and 2n cells. n doubles until
     |F_2n - F_n|/15 over F's slope is within 1e-10 max(1, |E|) across the
-    bracket (so brentq sees one function) and at the root, or raises."""
+    bracket (so brentq sees one function) and at the root, or raises. The
+    outward solution starts from the Frobenius start at u_min (x_min for the
+    Coulomb problem), summed at each trial energy; the Coulomb shots
+    propagate in x, where the |m| = 1 extension enters psi' at O(1)."""
     lo, hi = bracket
     if not lo < hi:
         raise ValidationError("bracket must satisfy lo < hi")
@@ -553,15 +557,13 @@ def shoot_eigenvalue(
         if spec.theory is Theory.OSCILLATOR:
             u_max = max(6.0, 3.0 * (abs(hi) / max(spec.coupling, 1e-12)) ** 0.5)
         else:
-            tau = math.sqrt(max(-hi, 1e-4))
-            u_max = max(20.0, 30.0 / tau)
+            u_max = max(20.0, 30.0 / math.sqrt(max(-hi, 1e-4)))
     if not 0 < u_min < u_max:
         raise ValidationError(f"need 0 < u_min < u_max, got {u_min!r} and {u_max!r}")
     u_mid = min(max(1.0, 20.0 * u_min), 0.4 * u_max)
-    start = _psi_as(spec)(u_min)
 
     def mismatch(E: float) -> tuple[float, float]:  # F and its error estimate
-        m = products(E)
+        m, start = products(E), _shot_start(spec, E, u_min)
         kap = math.sqrt(max(vpot(u_max) - E, 1e-12))
         out = m[:, 0, :, 0] * start[0] + m[:, 1, :, 0] * start[1]
         inn = m[:, 0, :, 1] - kap * m[:, 1, :, 1]
@@ -589,21 +591,14 @@ def compare_spectra(
 ) -> dict:
     """Per-level relative deviations of oracle eigenvalues against the
     closed-form atoms, with a pass/fail verdict at tolerance `tol`."""
-    n_cmp = min(len(closed.discrete), len(oracle))
     rows = []
-    ok = True
-    for n in range(n_cmp):
-        e_closed = closed.discrete[n][0]
-        e_oracle = oracle[n]
+    for n, (e_closed, e_oracle) in enumerate(zip([e for e, _ in closed.discrete], oracle)):
         dev = abs(e_oracle - e_closed) / max(1.0, abs(e_closed))
-        level_ok = dev <= tol
-        ok = ok and level_ok
-        rows.append(
-            {"n": n, "closed": e_closed, "oracle": e_oracle, "rel_dev": dev, "pass": level_ok}
-        )
+        rows.append({"n": n, "closed": e_closed, "oracle": e_oracle, "rel_dev": dev,
+                     "pass": dev <= tol})
     return {
         "levels": rows,
         "count_mismatch": len(closed.discrete) != len(oracle),
-        "pass": ok,
+        "pass": all(row["pass"] for row in rows),
         "tol": tol,
     }

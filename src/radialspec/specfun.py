@@ -88,7 +88,7 @@ class AccuracyError(ArithmeticError):
 def _nonpositive_int(z: complex) -> int | None:
     """Return n if z is (numerically) a non-positive integer n, else None."""
     z = complex(z)
-    if abs(z.imag) > _INT_TOL:
+    if not (abs(z.imag) <= _INT_TOL and math.isfinite(z.real)):  # non-finite: no pole
         return None
     n = round(z.real)
     if n <= 0 and abs(z.real - n) <= _INT_TOL * max(1.0, abs(n)):
@@ -135,6 +135,8 @@ def trigamma(x: float) -> float:
         raise PoleError(p, "trigamma")
     if x > 0:
         return float(_sp.zeta(2.0, x))
+    if x == -math.inf:  # poles at every non-positive integer: no limit
+        return math.nan
     # reflection: psi'(x) + psi'(1-x) = pi^2 / sin^2(pi x)
     s = math.sin(math.pi * x)
     return math.pi**2 / (s * s) - float(_sp.zeta(2.0, 1.0 - x))

@@ -16,9 +16,9 @@ from radialspec.oracle import (
     GridResolutionWarning,
     _fd_matrix,
     _fd_nodes,
+    _magnus,
     _potential,
-    _propagator,
-    _psi_as,
+    _shot_start,
     GridSpec,
     compare_spectra,
     fd_eigenvalues,
@@ -100,60 +100,66 @@ def test_fd_warns_on_coarse_grid():
 
 
 def test_fd_log_mixed_family_cell():
-    # zeta < pi/2 members take the flux R chi_0 through the first node from
-    # the extension's asymptote, whose truncation grows with u_min: 1.3e-2 at
-    # u_min = 1e-2, which the cascade sees because its grids scale u_min with
-    # h. Half a spacing off the origin the level is held to 2e-4
+    # zeta < pi/2 members take the flux R(E) chi_0 through the first node
+    # from the Frobenius start, so a fixed u_min = 1e-2 converges as well as
+    # a staggered grid. The two-term asymptote that R once came from left
+    # that grid 1.3e-2 off at every node count, with a warning
     spec = ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7))
     closed = osc_spectrum(spec, levels=1).discrete[0][0]
+    scale = max(1.0, abs(closed))
     with warnings.catch_warnings():
         warnings.simplefilter("error", GridResolutionWarning)
         vals = fd_eigenvalues(spec, _staggered(9.0, 4000), 1)
-    assert abs(vals[0] - closed) < 5e-4 * max(1.0, abs(closed))
-    with pytest.warns(GridResolutionWarning):
-        vals = fd_eigenvalues(spec, GridSpec(1e-2, 9.0, 4000), 1)
-    assert abs(vals[0] - closed) < 2e-2 * max(1.0, abs(closed))
+        assert abs(vals[0] - closed) < 5e-4 * scale
+        for points, tol in ((4000, 2e-4), (40000, 1e-5)):
+            vals = fd_eigenvalues(spec, GridSpec(1e-2, 9.0, points), 1)
+            assert abs(vals[0] - closed) < tol * scale
+
+
+def test_fd_start_that_does_not_converge_raises():
+    # first nodes far out (u_0 = 55 on the coarsest grid): the Frobenius
+    # start would need some 1500 terms, whose sum overflows on the way, and
+    # raises instead of handing the solver a non-finite flux
+    spec = ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7))
+    with pytest.raises(ValidationError, match="Frobenius start did not converge"):
+        fd_eigenvalues(spec, GridSpec(50.0, 60.0, 100), 1)
 
 
 _HALF_PI = ExtensionParam(math.pi / 2)
 
+# every cell with discrete levels, both signs of g, kappa0 != 1 and the deep
+# family levels (-106 and -519), each with a box (in the theory's own radius)
+# that its lowest levels fit in; the three cells with no discrete spectrum
+# (lambda < 0, and lambda = 0 at |m| >= 1) have none to check
+_EVERY_CELL = [
+    pytest.param(*case, id=name)
+    for name, *case in [
+        ("osc-m1", ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 9.0),
+        ("osc-m2-k0.7", ProblemSpec(Theory.OSCILLATOR, 2, 2.5, 0.7), 7.0),
+        ("osc-m0-z0.3", ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.3)), 9.0),
+        ("osc-m0-z-0.8", ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(-0.8)), 9.0),
+        ("osc-m0-deep-k0.7", ProblemSpec(Theory.OSCILLATOR, 0, 2.5, 0.7, ExtensionParam(1.2)), 5.0),
+        ("osc-m0-half-pi", ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, _HALF_PI), 9.0),
+        ("osc-m0-free-z0.3", ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 1.0, ExtensionParam(0.3)), 20.0),
+        ("osc-m0-free-k0.7", ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 0.7, ExtensionParam(-0.5)), 66.0),
+        ("coul-m2", ProblemSpec(Theory.COULOMB, 2, -1.0), 270.0),
+        ("coul-m3-k0.5", ProblemSpec(Theory.COULOMB, 3, -0.5, 0.5), 650.0),
+        ("coul-m1-z0.35", ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, ExtensionParam(0.35)), 180.0),
+        ("coul-m1-half-pi", ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, _HALF_PI), 220.0),
+        ("coul-m-1-z-1", ProblemSpec(Theory.COULOMB, -1, -1.0, 1.0, ExtensionParam(-1.0)), 160.0),
+        ("coul-m1-k0.5", ProblemSpec(Theory.COULOMB, 1, -1.0, 0.5, ExtensionParam(0.35)), 180.0),
+        ("coul-m1-repulsive", ProblemSpec(Theory.COULOMB, 1, 1.0, 1.0, ExtensionParam(-0.3)), 25.0),
+        ("coul-m0-z0.3", ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(0.3)), 140.0),
+        ("coul-m0-half-pi", ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, _HALF_PI), 175.0),
+        ("coul-m0-k0.5", ProblemSpec(Theory.COULOMB, 0, -1.0, 0.5, ExtensionParam(0.3)), 140.0),
+        ("coul-m0-repulsive", ProblemSpec(Theory.COULOMB, 0, 1.0, 1.0, ExtensionParam(1.0)), 1.1),
+    ]
+]
 
-@pytest.mark.parametrize(
-    "spec, u_max",
-    [
-        (ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 9.0),
-        (ProblemSpec(Theory.OSCILLATOR, 2, 2.5, 0.7), 7.0),
-        (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.3)), 9.0),
-        (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(-0.8)), 9.0),
-        (ProblemSpec(Theory.OSCILLATOR, 0, 2.5, 0.7, ExtensionParam(1.2)), 5.0),
-        (ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, _HALF_PI), 9.0),
-        (ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 1.0, ExtensionParam(0.3)), 20.0),
-        (ProblemSpec(Theory.OSCILLATOR, 0, 0.0, 0.7, ExtensionParam(-0.5)), 66.0),
-        (ProblemSpec(Theory.COULOMB, 2, -1.0), 270.0),
-        (ProblemSpec(Theory.COULOMB, 3, -0.5, 0.5), 650.0),
-        (ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, ExtensionParam(0.35)), 180.0),
-        (ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, _HALF_PI), 220.0),
-        (ProblemSpec(Theory.COULOMB, -1, -1.0, 1.0, ExtensionParam(-1.0)), 160.0),
-        (ProblemSpec(Theory.COULOMB, 1, -1.0, 0.5, ExtensionParam(0.35)), 180.0),
-        (ProblemSpec(Theory.COULOMB, 1, 1.0, 1.0, ExtensionParam(-0.3)), 25.0),
-        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(0.3)), 140.0),
-        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, _HALF_PI), 175.0),
-        (ProblemSpec(Theory.COULOMB, 0, -1.0, 0.5, ExtensionParam(0.3)), 140.0),
-        (ProblemSpec(Theory.COULOMB, 0, 1.0, 1.0, ExtensionParam(1.0)), 1.1),
-    ],
-    ids=[
-        "osc-m1", "osc-m2-k0.7", "osc-m0-z0.3", "osc-m0-z-0.8", "osc-m0-deep-k0.7",
-        "osc-m0-half-pi", "osc-m0-free-z0.3", "osc-m0-free-k0.7", "coul-m2",
-        "coul-m3-k0.5", "coul-m1-z0.35", "coul-m1-half-pi", "coul-m-1-z-1",
-        "coul-m1-k0.5", "coul-m1-repulsive", "coul-m0-z0.3", "coul-m0-half-pi",
-        "coul-m0-k0.5", "coul-m0-repulsive",
-    ],
-)
+
+@pytest.mark.parametrize("spec, u_max", _EVERY_CELL)
 def test_fd_matches_the_closed_form_in_every_cell(spec, u_max):
-    # every cell with discrete levels, both signs of g, kappa0 != 1 and the
-    # deep family levels (-106 and -519); the three cells with no discrete
-    # spectrum (lambda < 0, and lambda = 0 at |m| >= 1) have none to check.
-    # Up to 3 levels on 4001 staggered nodes within 1e-3, and the ground
+    # up to 3 levels on 4001 staggered nodes within 1e-3, and the ground
     # level on 64001 within 1e-5, relative to max(1, |E|)
     spectrum = osc_spectrum if spec.theory is Theory.OSCILLATOR else coul_spectrum
     closed = [e for e, _ in spectrum(spec, levels=3).discrete]
@@ -340,15 +346,17 @@ def test_grids_whose_certificate_fails_are_solved_to_the_index_tolerance(monkeyp
 
 @pytest.mark.parametrize("points, failures", [(201, 0), (4001, 2)])
 def test_grids_whose_certificate_fails_are_solved_by_index(monkeypatch, points, failures):
-    # log-mixed cell with 16 sweeps allowed per level: the ground level of
-    # the 201-node cascade's 200-unknown grid converges within them, while
-    # the 250- and 1000-unknown grids of the 4001-node cascade run out of
-    # sweeps (their ground shifts sit far below the level) and are indexed.
-    # The finer grids refine again from the indexed levels
+    # log-mixed cell with 16 sweeps allowed per level, its first node fixed at
+    # u = 0.05: the cascade's grids keep c = u_min / h, so the first nodes of
+    # the coarse grids sit far out and their levels predict the next grid's
+    # poorly. The ground level of the 201-node cascade's 200-unknown grid
+    # converges within the sweeps, while the 1000- and 2000-unknown grids of
+    # the 4001-node cascade run out of them and are indexed. The finer grids
+    # refine again from the indexed levels
     calls = _record_solves(monkeypatch)
     monkeypatch.setattr(oracle, "_MAX_SWEEPS", 16)
     spec = ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.7))
-    grid = GridSpec(1e-2, 9.0, points)
+    grid = GridSpec(0.05, 9.0, points)
     with pytest.warns(GridResolutionWarning):
         vals = fd_eigenvalues(spec, grid, 1)
     verdicts = {n: v for n, v in calls if v in ("ok", "fail")}
@@ -528,8 +536,8 @@ def test_shoot_coulomb_m1_family():
         (ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 4.0, 1e-6),
         (ProblemSpec(Theory.COULOMB, 2, -1.0), -1.0 / 9.0, 1e-6),
         # at m = 0 the x^(1/2) ln x channel differs in log-derivative by only
-        # 1/(x ln x), so the start needs the Frobenius factor (1 + g x); with
-        # it, a start far inside the default u_min and the default both hold 1e-9
+        # 1/(x ln x), so the start needs the Frobenius terms past x^(1/2); with
+        # them, a start far inside the default u_min and the default both hold 1e-9
         (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), -1.0, 1e-10),
         (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), -1.0, 1e-6),
     ],
@@ -539,15 +547,36 @@ def test_shoot_pure_power_matches_closed_form(spec, closed, u_min):
     assert abs(e - closed) < 1e-9 * abs(closed)
 
 
+@pytest.mark.parametrize("spec, u_max", _EVERY_CELL)
+def test_shoot_matches_the_closed_form_in_every_cell(spec, u_max):
+    # the Frobenius start is exact to rounding, so at the default u_min the
+    # shot is held to 1e-9 relative to max(1, |E|) in every cell, in the box
+    # the FD test uses: the default box x <= 20 misses its tolerance for the
+    # deep repulsive Coulomb level (-519)
+    closed, bracket = _closed_and_bracket(spec)
+    e = shoot_eigenvalue(spec, bracket, u_max=u_max)
+    assert abs(e - closed) <= 1e-9 * max(1.0, abs(closed))
+
+
 @pytest.mark.parametrize("u_min", [1e-8, 1e-10])
 def test_shoot_log_mixed_start_converges_as_u_min_shrinks(u_min):
-    # the start derivative is the asymptote's own: a central difference with
-    # step 1e-6 u_min lost 1.6e-3 and 8.8e-2 relative at these two radii
+    # the start and its derivative are summed from the Frobenius series: a
+    # central difference with step 1e-6 u_min lost 1.6e-3 and 8.8e-2 relative
+    # at these two radii, and the first-order asymptote 6e-6 at the default
     spec = ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, ExtensionParam(0.35))
     (e0, _), (e1, _) = coul_spectrum(spec, levels=2).discrete
     half = 0.4 * (e1 - e0)
     e = shoot_eigenvalue(spec, (e0 - half, e0 + half), u_min=u_min)
-    assert abs(e - e0) < 1e-6 * abs(e0)
+    assert abs(e - e0) < 1e-9 * abs(e0)
+
+
+def _magnus_step(vpot, E, a, b, y0):
+    """(psi, psi')(b) / max|.| from (psi, psi')(a) = y0: _magnus on 1024 and
+    2048 cells and one Richardson step, as shooting takes it."""
+    ys = _magnus(vpot, [a], [b], 1024)(E)[..., 0].transpose(2, 0, 1) @ y0
+    coarse, fine = ys / np.abs(ys).max(axis=1, keepdims=True)
+    y = fine + (fine - coarse) / 15.0
+    return y / np.abs(y).max()
 
 
 @pytest.mark.parametrize(
@@ -565,7 +594,7 @@ def test_propagator_starts_from_an_exact_zero_component(a, b, y0):
         (a, b), y0, method="DOP853", rtol=1e-12, atol=1e-14,
     ).y[:, -1]
     ref = ref / np.max(np.abs(ref))
-    got = _propagator(vpot, a, b)(E, y0)
+    got = _magnus_step(vpot, E, a, b, y0)
     assert np.max(np.abs(got - ref)) < 1e-8
 
 
@@ -608,7 +637,7 @@ def _dop853(vpot, E, edges, y0):
     ids=["barrier_e800", "allowed_and_flat"],
 )
 def test_propagator_is_robust(vpot, E, edges, y0):
-    got = _propagator(vpot, edges[0], edges[-1])(E, y0)
+    got = _magnus_step(vpot, E, edges[0], edges[-1], y0)
     assert np.all(np.isfinite(got)) and np.abs(got).max() == pytest.approx(1.0, abs=1e-15)
     assert np.max(np.abs(got - _dop853(vpot, E, edges, y0))) < 1e-8
 
@@ -628,10 +657,12 @@ _BENCH_IDS = ["osc_m1_power", "osc_m0_log", "coul_m1_log", "coul_m2_power"]
 
 
 def _closed_and_bracket(spec):
+    """The ground level and a bracket around it: 0.4 of the gap to the next
+    level either side, or 0.1 |E| for a lone level."""
     spectrum = osc_spectrum if spec.theory is Theory.OSCILLATOR else coul_spectrum
-    (e0, _), (e1, _) = spectrum(spec, levels=2).discrete
-    half = 0.4 * abs(e1 - e0)
-    return e0, (e0 - half, e0 + half)
+    levels = [e for e, _ in spectrum(spec, levels=2).discrete]
+    half = 0.4 * (levels[1] - levels[0]) if len(levels) > 1 else 0.1 * abs(levels[0])
+    return levels[0], (levels[0] - half, levels[0] + half)
 
 
 def _reference_mismatch(spec, E, u_min, u_max):
@@ -639,7 +670,7 @@ def _reference_mismatch(spec, E, u_min, u_max):
     rtol 1e-12 matched at u = 1, from the same starts."""
     vpot = _potential(spec)
     kap = math.sqrt(max(vpot(u_max) - E, 1e-12))
-    out = _dop853(vpot, E, np.geomspace(u_min, 1.0, 25), _psi_as(spec)(u_min))
+    out = _dop853(vpot, E, np.geomspace(u_min, 1.0, 25), _shot_start(spec, E, u_min))
     inn = _dop853(vpot, E, np.geomspace(u_max, 1.0, 25), [1.0, -kap])
     return out[0] * inn[1] - out[1] * inn[0]
 
@@ -652,18 +683,16 @@ def test_shot_accuracy_in_the_bench_cells(spec, u_max, dop853_shot):
     if spec.extension is None:  # pure power: the start is exact
         assert abs(e - closed) <= 1e-10 * scale
         return
-    # log-mixed cells are limited by the start's truncation (4e-10 and 6e-6
-    # relative), so the yardstick is the same shooting problem solved tightly:
-    # its matching function changes sign within 1e-10 of the shot
+    # log-mixed cells: the same shooting problem solved tightly has its
+    # matching function change sign within 1e-10 of the shot, and the shot
+    # is the closed form to 1e-9. The first-order Coulomb start held the
+    # DOP853 shot 6e-6 off it
     step = 1e-10 * scale
     assert _reference_mismatch(spec, e - step, 1e-6, u_max) * _reference_mismatch(
         spec, e + step, 1e-6, u_max) < 0
     if spec.theory is Theory.OSCILLATOR:
         assert abs(e - closed) <= abs(dop853_shot - closed) + 1e-10 * scale
-    else:
-        # the DOP853 shot was 2.0e-10 off the tight root, towards the closed
-        # form; the shot is the tight root to 1e-10 (above)
-        assert abs(dop853_shot - e) <= 3e-10 * scale
+    assert abs(e - closed) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("spec, u_max, dop853_shot", _BENCH_SHOTS, ids=_BENCH_IDS)

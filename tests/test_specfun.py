@@ -155,6 +155,23 @@ def test_trigamma_positive_and_reflection():
         assert trigamma(x) == ref, x
 
 
+@pytest.mark.parametrize("f", [gamma_ln, rgamma, trigamma, digamma])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_gamma_family_takes_non_finite_arguments(f, x):
+    # a non-finite argument is no pole: the pole test once rounded it and
+    # raised a bare OverflowError (+-inf) or ValueError (nan), and the
+    # trigamma reflection one at -inf
+    try:
+        f(x)
+    except (PoleError, AccuracyError):
+        pass
+
+
+def test_gamma_family_limits_at_infinity():
+    assert trigamma(math.inf) == 0.0
+    assert digamma(math.inf) == math.inf
+
+
 def test_pochhammer_product():
     assert pochhammer(1.3, 0) == 1.0
     assert abs(pochhammer(0.3 + 1j, 3) - (0.3 + 1j) * (1.3 + 1j) * (2.3 + 1j)) < 1e-14
