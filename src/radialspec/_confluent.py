@@ -101,7 +101,7 @@ def unique_omega(alpha: complex, n: int, r: complex, omega_scale: float) -> comp
 def m0_family_function(alpha: complex, r: complex) -> complex:
     """f_0 = psi(1) - psi(alpha)/2 - ln(r)/2: the m = 0 family levels of both
     theories solve f_0 = -tan(zeta)."""
-    return sf.digamma(1.0) - 0.5 * sf.digamma(alpha) - 0.5 * cmath.log(r)
+    return -sf.EULER_GAMMA - 0.5 * sf.digamma(alpha) - 0.5 * cmath.log(r)
 
 
 def family_omega(f: complex, zeta: float, scale: float, kappa0: float) -> complex:

@@ -497,7 +497,8 @@ def _magnus(vpot, a, b, cells: int):
     x0, x1, r0, r1 = (v[:, s][:, seam] for v in (x, r) for s in (np.s_[:-1], np.s_[1:]))
     h = x1 - x0
     g = x0 + 0.5 * h + np.multiply.outer([-1.0, 1.0], h) * (math.sqrt(3.0) / 6.0)
-    u, w = np.where(out, np.exp(g), g), np.where(out, np.exp(2.0 * g), 1.0)  # q = w (V - E)
+    g_out = np.where(out, g, 0.0)  # on inward spans g is u itself, whose exp can overflow
+    u, w = np.where(out, np.exp(g_out), g), np.where(out, np.exp(2.0 * g_out), 1.0)  # q = w (V - E)
     wv, k, quarter = w * vpot(u), math.sqrt(3.0) / 12.0 * h * h, np.where(out, 0.25 * h, 0.0)
     d0, d1 = k * (wv[0] - wv[1]), k * (w[0] - w[1])  # Omega = [[d, h], [c, -d]]
     c0, c1 = 0.5 * h * (wv[0] + wv[1]), 0.5 * h * (w[0] + w[1])

@@ -191,7 +191,7 @@ def osc_coefficients(
 def _omega00(W: ComplexEnergy, kappa0: float) -> complex:
     """m=0, lambda=0 analogue: i pi/2 + psi(1) - ln(K / 2 kappa0)."""
     K = W.sqrt_forward()
-    return 0.5j * math.pi + sf.digamma(1.0) - cmath.log(K / (2.0 * kappa0))
+    return 0.5j * math.pi - sf.EULER_GAMMA - cmath.log(K / (2.0 * kappa0))
 
 
 def osc_family_function(

@@ -1,9 +1,9 @@
 """Complex special functions for the closed-form radial solutions.
 
-Log-gamma, digamma, trigamma and integer-order Bessel functions are
-delegated to scipy.special, imported by the first call that needs it (see
-_LazyModule): the unique cells' levels and eigenfunctions need only math and
-cmath, so importing radialspec loads neither SciPy nor NumPy.  The
+Log-gamma, digamma and trigamma are summed here from math and cmath alone;
+integer-order Bessel functions, whose one user is the lambda = 0 oscillator
+continuum, are delegated to scipy.special, imported by the first call that
+needs it (see _LazyModule).  The
 confluent-hypergeometric machinery (Kummer Phi, Tricomi Psi at integer
 second parameter, and the logarithmic channel at integer b = n + 1, which
 gives the m = 0 family solutions at n = 0 and the fourth radial solutions at
@@ -96,12 +96,94 @@ def _nonpositive_int(z: complex) -> int | None:
     return None
 
 
+# Each gamma-family kernel reflects z into Re z >= 1/2 (DLMF 5.5.3-4), recurs up to |z| >= 8 and
+# sums the Stirling series (DLMF 5.11.1-2, 5.15.8) to B_20 (B_22 for psi'): next term < 1e-17.
+_RECUR_TO, _HALF_LOG_2PI = 8.0, 0.9189385332046728  # the latter log(2 pi) / 2
+# psi's positive root x0 = findroot(digamma, 1.46) as HI + LO, exact in x - HI on
+# [1, 2]; mpmath at 40 digits: [float(zeta(k, x0 + 2)) for k in range(22, 1, -1)]
+_PSI_ROOT_HI, _PSI_ROOT_LO = 1.4616321449683622, 9.549995429965697e-17
+_PSI_ROOT_SERIES = (
+    1.3723653713077138e-12, 4.755891089999048e-12, 1.648677489663636e-11, 5.717729634679893e-11,
+    1.9840436029350833e-10, 6.889561205460084e-10, 2.3946448469644645e-09, 8.333507652457267e-09,
+    2.9048430651778795e-08, 1.0147423082995085e-07, 3.555004365548999e-07, 1.2502790337317232e-06,
+    4.4203814378014486e-06, 1.5742042793645156e-05, 5.663403931142351e-05, 0.00020674607628354467,
+    0.0007713020708922787, 0.002976677050430833, 0.012163351366549665, 0.055476208282819656,
+    0.3345617098544669,
+)
+
+
+def _steps(z: complex) -> int:
+    """The n >= 0 that takes z, Re z >= 1/2, to |z + n| >= _RECUR_TO."""
+    return max(0, math.ceil(math.sqrt(max(0.0, _RECUR_TO**2 - z.imag * z.imag)) - z.real))
+
+
+def _loggamma(z: complex) -> complex:
+    """Principal-branch log Gamma off the poles; on the cut, from the side of Im z's sign."""
+    if not cmath.isfinite(z):  # Gamma's one limit at infinity is along the positive axis
+        return complex(math.inf, 0.0) if z == math.inf else complex(math.nan, math.nan)
+    if math.copysign(1.0, z.imag) < 0:
+        return _loggamma(z.conjugate()).conjugate()
+    if z.real < 0.5:
+        # log sin(r) + i pi n, r = pi (z - n): a log of sin(pi z), continuous across strips
+        n = round(z.real)
+        r = math.pi * (z - n)
+        # and sin r = (i/2) e^(-ir) (1 - e^(2ir)) where cosh(Im r) would overflow
+        log_sin = (cmath.log(cmath.sin(r)) if r.imag < 2.0
+                   else cmath.log(0.5j * (1.0 - cmath.exp(2j * r))) - 1j * r)
+        return complex(math.log(math.pi), math.pi * n) - log_sin - _loggamma(1.0 - z)
+    # log Gamma(w) - sum_k log(z + k), n log w taken into the factors w / (z + k),
+    # whose arguments lie in (-pi/2, 0]: their product's turns past -pi once a wrap
+    n = _steps(z)
+    w = z + n
+    p, wraps = 1.0, 0
+    for k in range(n):
+        q = p * w / (z + k)
+        if q.imag > 0.0 > p.imag:
+            wraps += 1
+        p = q
+    v = 1.0 / (w * w)
+    series = _HALF_LOG_2PI + (1/12 + v * (-1/360 + v * (1/1260 + v * (-1/1680 + v * (
+        1/1188 + v * (-691/360360 + v * (1/156 + v * (-3617/122400 + v * (
+            43867/244188 - v * 174611/125400))))))))) / w
+    return (cmath.log(p) - 2j * math.pi * wraps - w) + (z - 0.5) * cmath.log(w) + series
+
+
+def _psi_tail(w):
+    """psi(w) - log w at |w| >= _RECUR_TO, Re w > 0, real or complex."""
+    v = 1.0 / (w * w)
+    return -0.5 / w - v * (1/12 + v * (-1/120 + v * (1/252 + v * (-1/240 + v * (1/132 + v * (
+        -691/32760 + v * (1/12 + v * (-3617/8160 + v * (43867/14364 - v * 174611/6600)))))))))
+
+
+def _psi_real(x: float) -> float:
+    """psi at finite real x off the poles, as Cephes' psi (SciPy's real digamma)
+    takes it: into [1, 2], then sum_k (-1)^(k+1) zeta(k+1, x0) (x - x0)^k, whose
+    first two Hurwitz terms sum to d/(x0 x) + d/((x0+1)(x+1)), d = x - x0."""
+    y = 0.0
+    if x < 0.0:
+        y = -math.pi / math.tan(math.pi * (x - round(x)))
+        x = 1.0 - x
+    if x >= _RECUR_TO:
+        return y + math.log(x) + _psi_tail(x)
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    while x > 2.0:
+        x -= 1.0
+        y += 1.0 / x
+    d = (x - _PSI_ROOT_HI) - _PSI_ROOT_LO
+    p = 0.0
+    for c in _PSI_ROOT_SERIES:
+        p = c - d * p
+    return y + d * (1.0 / (_PSI_ROOT_HI * x) + 1.0 / ((_PSI_ROOT_HI + 1.0) * (x + 1.0)) + p)
+
+
 def gamma_ln(z: complex) -> complex:
     """Principal-branch log-gamma; exp(gamma_ln(z)) == Gamma(z)."""
     p = _nonpositive_int(z)
     if p is not None:
         raise PoleError(p)
-    return complex(_sp.loggamma(complex(z)))
+    return _loggamma(complex(z))
 
 
 def gamma_fn(z: complex) -> complex:
@@ -112,34 +194,51 @@ def rgamma(z: complex) -> complex:
     """1/Gamma(z); entire, zero at the poles of Gamma."""
     if _nonpositive_int(z) is not None:
         return 0.0 + 0.0j
-    return cmath.exp(-complex(_sp.loggamma(complex(z))))
+    return cmath.exp(-_loggamma(complex(z)))
 
 
 def digamma(z: complex) -> complex:
-    """psi(z); SciPy's real digamma on x > 0, where its complex one is ~20 ulp
-    off, and the complex one elsewhere (the real reflection is worse)."""
+    """psi(z), without SciPy; within 2 ulp on the positive real axis."""
     z = complex(z)
     if z.imag == 0 and z.real > _INT_TOL:  # no pole to test for
-        return complex(_sp.digamma(z.real))
+        return complex(_psi_real(z.real))
+    if not cmath.isfinite(z):  # +inf took the branch above
+        return complex(math.nan, math.nan)
     p = _nonpositive_int(z)
     if p is not None:
         raise PoleError(p, "digamma")
-    return complex(_sp.digamma(z))
+    if z.imag == 0:
+        return complex(_psi_real(z.real))
+    out = 0.0
+    if z.real < 0.5:
+        out = -math.pi / cmath.tan(math.pi * (z - round(z.real)))
+        z = 1.0 - z
+    n = _steps(z)
+    for k in range(n):
+        out -= 1.0 / (z + k)
+    return out + (cmath.log(z + n) + _psi_tail(z + n))
 
 
 def trigamma(x: float) -> float:
-    """psi'(x) for real x (reflection handles x < 0). On x > 0, psi'(x) is
-    Hurwitz zeta(2, x), the value SciPy's polygamma(1, x) multiplies by 1."""
+    """psi'(x) for real x, without SciPy (reflection handles x < 0)."""
     p = _nonpositive_int(complex(x))
     if p is not None:
         raise PoleError(p, "trigamma")
+    if not math.isfinite(x):  # poles at every non-positive integer: no limit at -inf
+        return 0.0 if x == math.inf else math.nan
     if x > 0:
-        return float(_sp.zeta(2.0, x))
-    if x == -math.inf:  # poles at every non-positive integer: no limit
-        return math.nan
+        n = max(0, math.ceil(_RECUR_TO - x))
+        w = x + n
+        v = 1.0 / (w * w)
+        series = 1/6 + v * (-1/30 + v * (1/42 + v * (-1/30 + v * (5/66 + v * (-691/2730 + v * (
+            7/6 + v * (-3617/510 + v * (43867/798 + v * (-174611/330 + v * 854513/138)))))))))
+        out = (1.0 + (0.5 + series / w) / w) / w
+        for k in range(n - 1, -1, -1):  # smallest terms first
+            out += 1.0 / ((x + k) * (x + k))
+        return out
     # reflection: psi'(x) + psi'(1-x) = pi^2 / sin^2(pi x)
     s = math.sin(math.pi * x)
-    return math.pi**2 / (s * s) - float(_sp.zeta(2.0, 1.0 - x))
+    return math.pi**2 / (s * s) - trigamma(1.0 - x)
 
 
 def pochhammer(z: complex, n: int) -> complex:

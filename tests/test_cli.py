@@ -333,7 +333,9 @@ def test_closed_forms_load_no_heavy_scipy(fresh_python):
         return json.loads(fresh_python("-c", _IMPORT_PROBE, json.dumps(runs)))
 
     coul = ["--theory", "coul", "--m", "1", "--coupling"]
-    # unique cells first: their closed forms need neither NumPy nor SciPy
+    # the closed forms need neither NumPy nor SciPy, family cells and
+    # log-gamma, digamma and trigamma included; the lambda = 0 oscillator
+    # continuum runs last, since its Bessel functions load scipy.special
     report = probe(
         ["spectrum", "--theory", "osc", "--m", "2", "--coupling", "1", "--levels", "3"],
         ["wavefunction", "--theory", "coul", "--m", "2", "--coupling", "-1", "--level", "1"],
@@ -342,23 +344,23 @@ def test_closed_forms_load_no_heavy_scipy(fresh_python):
         ["density", *coul, "0.8", "--zeta", "-1.2", "--emin", "0.1", "--emax", "2"],
         ["duality", "--checks", "solutions", "--m", "1", "--samples", "5"],
         ["duality", "--checks", "coefficients", "--m", "2", "--samples", "5"],
+        ["wavefunction", "--theory", "osc", "--m", "1", "--coupling", "0", "--energy", "2"],
     )
     # import radialspec loads every submodule but the CLI (bench/tracer.py
     # wraps the oracle's names right after it), and neither NumPy nor SciPy
     package = os.path.dirname(radialspec.__file__)
     names = {n for _, n, _ in pkgutil.iter_modules([package])} - {"cli"}
     assert report.pop("submodules") == sorted(f"radialspec.{n}" for n in names)
-    # digamma and log-gamma load scipy.special (and with it NumPy)
-    special = ["numpy", "scipy.special"]
     assert report == {
         "import": [],
         "spectrum --theory osc": [0, []],
         "wavefunction --theory coul": [0, []],
         "duality --checks spectra": [0, []],
-        "spectrum --theory coul": [0, special],
-        "density --theory coul": [0, special],
-        "duality --checks solutions": [0, special],
-        "duality --checks coefficients": [0, special],
+        "spectrum --theory coul": [0, []],
+        "density --theory coul": [0, []],
+        "duality --checks solutions": [0, []],
+        "duality --checks coefficients": [0, []],
+        "wavefunction --theory osc": [0, ["numpy", "scipy.special"]],
     }
     # the finite-difference oracle needs NumPy and scipy.linalg, not scipy.special
     report = probe(

@@ -547,12 +547,14 @@ def test_shoot_pure_power_matches_closed_form(spec, closed, u_min):
     assert abs(e - closed) < 1e-9 * abs(closed)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spec, u_max", _EVERY_CELL)
 def test_shoot_matches_the_closed_form_in_every_cell(spec, u_max):
     # the Frobenius start is exact to rounding, so at the default u_min the
     # shot is held to 1e-9 relative to max(1, |E|) in every cell, in the box
     # the FD test uses: the default box x <= 20 misses its tolerance for the
-    # deep repulsive Coulomb level (-519)
+    # deep repulsive Coulomb level (-519). No RuntimeWarning either: exp once
+    # overflowed on the inward spans of coul-m3-k0.5 (u_max = 650)
     closed, bracket = _closed_and_bracket(spec)
     e = shoot_eigenvalue(spec, bracket, u_max=u_max)
     assert abs(e - closed) <= 1e-9 * max(1.0, abs(closed))

@@ -6,7 +6,6 @@ import random
 
 import mpmath as mp
 import pytest
-from scipy import special
 
 from radialspec import coulomb
 from radialspec import specfun as sf
@@ -126,6 +125,33 @@ def test_digamma_complex_against_shifted_asymptotic_oracle():
     assert abs(digamma(z) - ref) < 1e-12
 
 
+# The domain the regime cells reach: real alpha down to -30.5, off the poles,
+# and Re z in (-10, 30) x Im z in (-30, 30), which covers the Coulomb
+# continuum and complex Green energies; then three points far off the real
+# axis, where sin(pi z) overflows, and two where the recurrence's product of
+# w / (z + k) turns past -pi
+_SWEEP_RNG = random.Random(1613)
+_ALPHAS = [_SWEEP_RNG.uniform(-30.5, 30.0) for _ in range(300)]
+GAMMA_SWEEP = (
+    [complex(a) for a in _ALPHAS if abs(a - round(a)) > 1e-3]
+    + [complex(_SWEEP_RNG.uniform(-10.0, 30.0), _SWEEP_RNG.uniform(-30.0, 30.0))
+       for _ in range(500)]
+    + [-3.3 + 300j, 0.3 - 1e5j, -200.3 + 9j, 0.5 + 2.6j, 0.52 - 2.55j]
+)
+
+
+@pytest.mark.parametrize(
+    "f, ref", [(gamma_ln, mp.loggamma), (digamma, mp.digamma)], ids=["gamma_ln", "digamma"]
+)
+def test_gamma_ln_and_digamma_against_mpmath_over_the_cells_domain(f, ref):
+    # SciPy's loggamma, which this kernel replaces, is 2.3e-15 off on these
+    # points (at z = 0.86 - 1.1i); its digamma, real and complex, 8.1e-16
+    with mp.workdps(40):
+        for z in GAMMA_SWEEP:
+            want = ref(mp.mpc(z))
+            assert abs(mp.mpc(f(z)) - want) <= 2e-15 * max(1, abs(want)), z
+
+
 def test_trigamma_known_values_and_series_oracle():
     assert abs(trigamma(1.0) - math.pi**2 / 6) < 1e-12
     assert abs(trigamma(2.0) - (math.pi**2 / 6 - 1.0)) < 1e-12
@@ -142,17 +168,19 @@ def test_trigamma_positive_and_reflection():
     x = -2.3
     s = math.sin(math.pi * x)
     assert abs(trigamma(x) + trigamma(1 - x) - math.pi**2 / s**2) < 1e-9
-    # bit for bit SciPy's polygamma(1, x), through the reflection for x < 0
+    # x > 0 within 4 ulp of mpmath, with an ulp taken as 2^-52 |psi'(x)|;
+    # x < 0 through the reflection, bit for bit
     rng = random.Random(1011)
     xs = [10.0 ** rng.uniform(-8.0, 6.0) for _ in range(300)]
     xs += [-rng.uniform(0.0, 50.0) for _ in range(100)] + [-0.5, -2.3, -1e-6]
-    for x in xs:
-        if x > 0:
-            ref = float(special.polygamma(1, x))
-        else:
-            s = math.sin(math.pi * x)
-            ref = math.pi**2 / (s * s) - float(special.polygamma(1, 1.0 - x))
-        assert trigamma(x) == ref, x
+    with mp.workdps(40):
+        for x in xs:
+            if x > 0:
+                ref = mp.psi(1, x)
+                assert abs(mp.mpf(trigamma(x)) - ref) <= 4 * 2.0**-52 * ref, x
+            else:
+                s = math.sin(math.pi * x)
+                assert trigamma(x) == math.pi**2 / (s * s) - trigamma(1.0 - x), x
 
 
 @pytest.mark.parametrize("f", [gamma_ln, rgamma, trigamma, digamma])
@@ -170,6 +198,8 @@ def test_gamma_family_takes_non_finite_arguments(f, x):
 def test_gamma_family_limits_at_infinity():
     assert trigamma(math.inf) == 0.0
     assert digamma(math.inf) == math.inf
+    assert gamma_ln(math.inf) == math.inf
+    assert rgamma(math.inf) == 0.0
 
 
 def test_pochhammer_product():
