@@ -2,11 +2,12 @@
 confluent problem in (alpha, n = |m|, r): r = 2K/kappa0 for Coulomb and
 varkappa^2/kappa0^2 for the oscillator, equal under lambda = -4 kappa0^2 E.
 Stated once here: the connection coefficients and the unique-cell resolvent
-diagonal, the m = 0 family function, the family resolvent diagonal and
-density, the pole-ladder root brackets, solution closures, spectral measures,
-eigenfunctions and family Green functions.  Each theory passes in its own
-parameter map, radius powers and scale constants; this module imports
-neither theory, so the duality checks compare two independent maps.
+diagonal, the m = 0 and Coulomb |m| = 1 family functions, the family
+resolvent diagonal and density, the pole-ladder root brackets, solution
+closures, spectral measures, eigenfunctions and family Green functions.
+Each theory passes in its own parameter map, radius powers and scale
+constants; this module imports neither theory, so the duality checks compare
+two independent maps.
 """
 
 from __future__ import annotations
@@ -74,20 +75,19 @@ def coefficients(
 ) -> tuple[complex, complex, complex, complex]:
     """(A, B, C, omega) at |m| = n >= 1: C3 = B C1 + C C4 (O3 = B O1 + C O4)
     and omega = omega_scale n C, with omega_scale kappa0 (Coulomb) or
-    2 kappa0 (oscillator)."""
+    2 kappa0 (oscillator).  Gamma and psi are evaluated at alpha alone: B
+    takes 1/Gamma(alpha - n) = (-1)^n (1 - alpha)_n / Gamma(alpha) (DLMF
+    5.5.1) and psi(alpha - n) from psi_pair."""
     alpha_minus = alpha - n
     if sf._nonpositive_int(alpha) is not None:
         raise sf.PoleError(int(round(alpha.real)), "Gamma(alpha)")
     if sf._nonpositive_int(alpha_minus) is not None:
         raise sf.PoleError(int(round(alpha_minus.real)), "Gamma(alpha_minus)")
-    a = r**n * (-1.0) ** n * sf.pochhammer(1 - alpha, n) / math.factorial(n)
-    b = (
-        (-1.0) ** (n + 1)
-        / (2.0 * math.factorial(n))
-        * sf.rgamma(alpha_minus)
-        * (sf.digamma(alpha_minus) + sf.digamma(alpha) + 2.0 * cmath.log(r))
-    )
-    c = r ** (-n) * math.factorial(n - 1) * sf.rgamma(alpha)
+    poch, rgamma_a = sf.pochhammer(1 - alpha, n), sf.rgamma(alpha)
+    a = r**n * (-1.0) ** n * poch / math.factorial(n)
+    psi_sum = psi_pair(alpha, n, sf.digamma)
+    b = -rgamma_a * poch / (2.0 * math.factorial(n)) * (psi_sum + 2.0 * cmath.log(r))
+    c = r ** (-n) * math.factorial(n - 1) * rgamma_a
     return a, b, c, omega_scale * n * c
 
 
@@ -95,13 +95,38 @@ def unique_omega(alpha: complex, n: int, r: complex, omega_scale: float) -> comp
     """Resolvent diagonal B/omega of a unique cell at |m| = n >= 1, with
     Gamma(alpha)/Gamma(alpha - n) taken as the polynomial (-1)^n (1 - alpha)_n."""
     d = r**n * sf.pochhammer(1 - alpha, n) / (2.0 * omega_scale * math.factorial(n) ** 2)
-    return d * (-2.0 * cmath.log(r) - sf.digamma(alpha) - sf.digamma(alpha - n))
+    return d * (-2.0 * cmath.log(r) - psi_pair(alpha, n, sf.digamma))
 
 
-def m0_family_function(alpha: complex, r: complex) -> complex:
-    """f_0 = psi(1) - psi(alpha)/2 - ln(r)/2: the m = 0 family levels of both
-    theories solve f_0 = -tan(zeta)."""
-    return -sf.EULER_GAMMA - 0.5 * sf.digamma(alpha) - 0.5 * cmath.log(r)
+def psi_pair(alpha, n: int, psi):
+    """psi(alpha) + psi(alpha - n), which every |m| = n >= 1 formula sums,
+    from one psi: psi(alpha - n) = psi(alpha) - sum_{j=1..n} 1/(alpha - j)
+    (DLMF 5.5.2).  `psi` is sf.digamma, or sf._psi_real on real alpha; it is
+    passed at each call, not bound as a default, so that it is looked up
+    in specfun at call time."""
+    p = psi(alpha)
+    shift = 0.0
+    try:
+        for j in range(1, n + 1):
+            shift += 1.0 / (alpha - j)
+    except ZeroDivisionError:  # alpha = j: psi(alpha - n) at the pole j - n
+        raise sf.PoleError(round(alpha.real) - n, "digamma") from None
+    return p + (p - shift)
+
+
+def m0_family_function(alpha, log_r, psi):
+    """f_0 = psi(1) - psi(alpha)/2 - ln(r)/2, given ln r: the m = 0 family
+    levels of both theories solve f_0 = -tan(zeta).  psi as in psi_pair:
+    real alpha and ln r with sf._psi_real give the real part of the value
+    at complex alpha with sf.digamma."""
+    return -sf.EULER_GAMMA - 0.5 * psi(alpha) - 0.5 * log_r
+
+
+def m1_family_function(alpha, log_r, scale: float, psi):
+    """f_1 = scale (psi(alpha) + psi(alpha - 1) + 2 ln r), scale = g / 2 kappa0:
+    the Coulomb |m| = 1 family levels solve f_1 = tan(zeta).  psi as in
+    m0_family_function."""
+    return scale * (psi_pair(alpha, 1, psi) + 2.0 * log_r)
 
 
 def family_omega(f: complex, zeta: float, scale: float, kappa0: float) -> complex:
@@ -168,6 +193,8 @@ def measure(levels, continuum, spec, count: int) -> SpectralMeasure:
     """Spectral measure of spec's cell with `count` atoms of an infinite ladder:
     levels(spec, cell) -> (number of atoms or None, k -> (E_k, Q_k^2)) and
     continuum(spec, cell) -> (density, support)."""
+    if count < 0:
+        raise ValidationError("the number of levels must be >= 0")
     cell = classify(spec)
     density, support = continuum(spec, cell)
     n, atom = levels(spec, cell)

@@ -137,17 +137,13 @@ def coul_family_function(
     if abs(m) not in (0, 1):
         raise ValidationError("family function defined for m in {0, +-1}")
     e = as_energy(energy)
+    if abs(m) == 1 and g == 0.0:
+        return -e.sqrt_minus() / kappa0
+    par = coul_parameters(m, e, g)
+    log_r = cmath.log(2.0 * par.K / kappa0)
     if abs(m) == 1:
-        if g == 0.0:
-            return -e.sqrt_minus() / kappa0
-        par = coul_parameters(m, e, g)
-        return (g / (2.0 * kappa0)) * (
-            sf.digamma(par.alpha)
-            + sf.digamma(par.alpha_minus)
-            + 2.0 * cmath.log(2.0 * par.K / kappa0)
-        )
-    par = coul_parameters(0, e, g)
-    return cf.m0_family_function(par.alpha, 2.0 * par.K / kappa0)
+        return cf.m1_family_function(par.alpha, log_r, g / (2.0 * kappa0), sf.digamma)
+    return cf.m0_family_function(par.alpha, log_r, sf.digamma)
 
 
 def coul_critical_zeta(m: int, g: float, kappa0: float = 1.0) -> float:
@@ -212,6 +208,24 @@ def _density_unique(m: int, g: float, kappa0: float):
     return density
 
 
+def _root_function(n: int, g: float, kappa0: float, target: float):
+    """h(E) = coul_family_function(n, E).real - target on real E < 0 at
+    n = |m| in {0, 1}, g != 0, bit for bit, from one real psi: alpha and r
+    as coul_parameters maps them from K = sqrt(-E), with the map's constants
+    built once here."""
+    half_b, neg_g, scale = 0.5 * (1 + n), -g, g / (2.0 * kappa0)
+
+    def h(E: float) -> float:
+        tau = math.sqrt(-E)
+        alpha = half_b - neg_g / (2.0 * tau)
+        log_r = cmath.log(2.0 * tau / kappa0).real
+        if n:
+            return cf.m1_family_function(alpha, log_r, scale, sf._psi_real) - target
+        return cf.m0_family_function(alpha, log_r, sf._psi_real) - target
+
+    return h
+
+
 def _coul_levels(spec: ProblemSpec, cell: RegimeClass):
     """(number of atoms, None for an infinite ladder; k -> the k-th atom
     (E_k, Q_k^2)).  Every atom is computed on its own: each ladder level has
@@ -240,8 +254,7 @@ def _coul_levels(spec: ProblemSpec, cell: RegimeClass):
     # levels solve f_1(E) = tan(zeta), respectively f_0(E) = -tan(zeta)
     m, target = (1, t) if m1 else (0, -t)
 
-    def h(E: float) -> float:
-        return coul_family_function(m, E, g, k0).real - target
+    h = _root_function(m, g, k0, target)
 
     def weighted(e: float) -> tuple[float, float]:
         if m1:

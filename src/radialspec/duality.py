@@ -22,10 +22,10 @@ from .core import (
 )
 from .coulomb import (
     coul_coefficients,
+    coul_eigenfunction,
     coul_family_function,
     coul_parameters,
     coul_solution,
-    coul_spectrum,
 )
 from .oscillator import (
     osc_coefficients,
@@ -176,9 +176,12 @@ def verify_spectrum_correspondence(
 ) -> dict:
     """Each oscillator level E_n at coupling lambda > 0 must reappear as the
     n-th bound state of the dual Coulomb problem (g = -E_n/4 kappa0) exactly
-    at E = -lambda/4 kappa0^2."""
+    at E = -lambda/4 kappa0^2.  Each Coulomb level is solved for on its own,
+    so n_max + 1 levels cost O(n_max) Coulomb atoms."""
     if lam <= 0:
         raise ValidationError("spectrum correspondence needs lambda > 0")
+    if n_max < 0:
+        raise ValidationError("n_max must be >= 0")
     if m == 0:
         if zeta is None or abs(zeta - math.pi / 2) > 1e-12:
             raise ValidationError(
@@ -192,8 +195,7 @@ def verify_spectrum_correspondence(
     osc_levels = osc_spectrum(spec_o, levels=n_max + 1).discrete
     target = -lam / (4.0 * kappa0 * kappa0)
     deviations = []
-    for n_idx in range(n_max + 1):
-        e_n = osc_levels[n_idx][0]
+    for n_idx, (e_n, _) in enumerate(osc_levels):
         g = -e_n / (4.0 * kappa0)
         if abs(m) <= 1:
             # the Coulomb family cells correspond at the pure-power member
@@ -202,8 +204,7 @@ def verify_spectrum_correspondence(
             )
         else:
             spec_c = ProblemSpec(Theory.COULOMB, m, g, kappa0)
-        coul_levels = coul_spectrum(spec_c, levels=n_idx + 1).discrete
-        deviations.append(abs(coul_levels[n_idx][0] - target))
+        deviations.append(abs(coul_eigenfunction(spec_c, n_idx).energy - target))
     max_dev = max(deviations)
     return {
         "m": m,

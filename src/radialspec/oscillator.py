@@ -202,7 +202,7 @@ def osc_family_function(
     if lam == 0:
         return _omega00(e, kappa0)
     par = osc_parameters(0, e.value, lam)
-    return cf.m0_family_function(par.alpha, _osc_r(par, kappa0))
+    return cf.m0_family_function(par.alpha, cmath.log(_osc_r(par, kappa0)), sf.digamma)
 
 
 # --- spectral data -------------------------------------------------------------
@@ -246,6 +246,17 @@ def _density_m_free(m: int, kappa0: float):
     return density
 
 
+def _root_function(lam: float, kappa0: float, target: float):
+    """(h, 4 varkappa^2) for lambda > 0: h(E) = osc_family_function(E).real
+    - target on real E, bit for bit, from one real psi.  alpha and r come
+    from the one rounded varkappa^2 as in osc_parameters and _osc_r; it and
+    ln r are built once here."""
+    vk = _varkappa(lam).real
+    four_vk2, log_r = 4.0 * vk * vk, cmath.log(vk * vk / kappa0**2).real
+    h = lambda E: cf.m0_family_function(0.5 - E / four_vk2, log_r, sf._psi_real) - target
+    return h, four_vk2
+
+
 def _osc_levels(spec: ProblemSpec, cell: RegimeClass):
     """(number of atoms, None for an infinite ladder; k -> the k-th atom
     (E_k, Q_k^2)).  Every atom is computed on its own: each ladder level has
@@ -267,14 +278,13 @@ def _osc_levels(spec: ProblemSpec, cell: RegimeClass):
 
             return None, atom
         zeta = spec.zeta
-        target = -math.tan(zeta)
-        h = lambda E: osc_family_function(E, lam, k0).real - target
+        h, four_vk2 = _root_function(lam, k0, -math.tan(zeta))
         pole = lambda j: sq * (1 + 2 * j)
 
         def root(k: int) -> tuple[float, float]:
             e = cf.ladder_root(h, pole, k, 1e-300)
             # weight: residue of -(1/(pi k0 cos^2 z)) Im 1/(f + tan z)
-            fprime = sf.trigamma(osc_parameters(0, e, lam).alpha.real) / (8.0 * math.sqrt(lam))
+            fprime = sf.trigamma(0.5 - e / four_vk2) / (8.0 * math.sqrt(lam))
             return e, 1.0 / (k0 * math.cos(zeta) ** 2 * fprime)
 
         return None, root

@@ -581,11 +581,13 @@ class _TricomiPlan:
         n = b - 1
         if self._log is None:
             companion = _CompanionPlan(a, n)
+            # 1/Gamma(a - n) = (-1)^n (1 - a)_n / Gamma(a) (DLMF 5.5.1)
+            rgamma_a = rgamma(a)
             self._log = (
                 companion,
                 digamma(a) - 0.5 * companion.sigma_a,
-                ((-1.0) ** (n + 1) / math.factorial(n)) * rgamma(a - n),
-                math.factorial(n - 1) * rgamma(a) if n >= 1 else None,
+                -rgamma_a * pochhammer(1 - a, n) / math.factorial(n),
+                math.factorial(n - 1) * rgamma_a if n >= 1 else None,
             )
         companion, shift, c_log, c_poly = self._log
         # DLMF 13.2.9 rearranged: psi(a+k) = psi(a) + h_k(a)

@@ -72,6 +72,21 @@ def test_spectrum_rejects_forbidden_extension(capsys):
     assert "unique self-adjoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--theory", "osc", "--m", "1", "--coupling", "2"],
+        ["spectrum", "--theory", "osc", "--m", "0", "--coupling", "2", "--zeta", "0.3"],
+        ["spectrum", "--theory", "coul", "--m", "1", "--coupling", "-1", "--zeta", "0.4"],
+        ["spectrum", "--theory", "coul", "--m", "2", "--coupling", "-1"],
+        ["duality", "--checks", "spectra", "--m", "1", "--coupling", "2"],
+    ],
+)
+def test_negative_level_count_exits_2(argv, capsys):
+    assert main(argv + ["--levels", "-3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_spectrum_json_schema():
     code, out = _run(
         [

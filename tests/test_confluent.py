@@ -14,7 +14,8 @@ import mpmath as mp
 import pytest
 
 import radialspec
-from radialspec import _confluent
+from radialspec import _confluent, coulomb, oscillator
+from radialspec import specfun as sf
 from radialspec.core import ExtensionParam, ProblemSpec, Theory
 
 from package_imports import package_import_names, package_imports
@@ -24,7 +25,7 @@ def test_import_reader_sees_relative_and_absolute_forms():
     assert {"_confluent", "specfun", "core"} <= package_imports("coulomb")
     assert {"coulomb", "oscillator", "core"} <= package_imports("duality")
     # names from `from .x import a, b`; a whole-module import names nothing
-    assert "coul_spectrum" in package_import_names("duality")["coulomb"]
+    assert "coul_eigenfunction" in package_import_names("duality")["coulomb"]
     assert package_import_names("coulomb")["_confluent"] == set()
 
 
@@ -95,6 +96,22 @@ def _draws(seed: int, count: int):
         yield alpha, 1 + i % 4, rnd.uniform(0.05, 8.0) * cmath.exp(1j * phase)
 
 
+def _near_shift_points(seed: int):
+    """alpha - n within 1e-3 of 0, -1 and -2 and near psi's positive root
+    1.4616, real and complex, for n = 1..4: where psi(alpha - n) and
+    1/Gamma(alpha - n), taken from alpha, could lose digits."""
+    rnd = random.Random(seed)
+    for n in range(1, 5):
+        for centre in (0.0, -1.0, -2.0, 1.4616321449683622):
+            for i in range(6):
+                offset = 10.0 ** rnd.uniform(-6.0, -3.0) * cmath.exp(1j * rnd.uniform(-3.1, 3.1))
+                if i % 2:
+                    offset = offset.real
+                phase = (0.0, -math.pi / 2, rnd.uniform(-math.pi / 2, 0.0))[i % 3]
+                r = rnd.uniform(0.05, 8.0) * cmath.exp(1j * phase)
+                yield complex(n + centre + offset), n, r
+
+
 def test_shared_formulas_against_mpmath():
     worst = {}
 
@@ -102,7 +119,7 @@ def test_shared_formulas_against_mpmath():
         worst[name] = max(worst.get(name, 0.0), float(abs(mp.mpc(value) - ref) / size))
 
     with mp.workdps(40):
-        for alpha, n, r in _draws(5150, 240):
+        for alpha, n, r in [*_draws(5150, 240), *_near_shift_points(5151)]:
             a, rr = mp.mpc(alpha), mp.mpc(r)
             psi = [mp.digamma(a - n), mp.digamma(a), 2 * mp.log(rr)]
             pre_b = (-1) ** (n + 1) / (2 * mp.factorial(n)) * mp.rgamma(a - n)
@@ -120,9 +137,19 @@ def test_shared_formulas_against_mpmath():
                 check("Omega", _confluent.unique_omega(alpha, n, r, scale),
                       pre_b * sum(psi) / (scale * n * ref_c), abs(d) * sum(abs(t) for t in psi))
             terms = [mp.digamma(1), -mp.digamma(a) / 2, -mp.log(rr) / 2]
-            check("f0", _confluent.m0_family_function(alpha, r), sum(terms),
+            check("f0", _confluent.m0_family_function(alpha, cmath.log(r), sf.digamma), sum(terms),
                   sum(abs(t) for t in terms))
     assert max(worst.values()) < 1e-13, worst
+
+
+def test_psi_pair_at_alpha_minus_n_on_a_pole():
+    # alpha = j in [1, n] puts psi(alpha - n) on its pole: the shift term
+    # 1/(alpha - j) divides by zero, which must surface as a PoleError
+    for alpha, n in ((1.0, 1), (2.0, 2), (1.0 + 0.0j, 3)):
+        with pytest.raises(radialspec.PoleError, match="digamma"):
+            _confluent.psi_pair(alpha, n, sf.digamma)
+    with pytest.raises(radialspec.PoleError):  # E = -1: alpha = 1.5 - 1/2 = 1, n = 2
+        radialspec.coul_spectral_omega(ProblemSpec(Theory.COULOMB, 2, -1.0), -1.0)
 
 
 def _parent_ladder_root(h, m: int, g: float, n: int) -> float:
@@ -170,6 +197,42 @@ def test_moved_ladder_brackets_are_no_further_from_mpmath_roots():
                 old_err.append(float(abs((e_old - root) / root)))
     assert max(new_err) <= max(old_err)
     assert statistics.median(new_err) <= statistics.median(old_err)
+
+
+@pytest.mark.parametrize(
+    "theory, m, sign",
+    [(Theory.OSCILLATOR, 0, 1.0)]
+    + [(Theory.COULOMB, m, sign) for m in (0, 1, -1) for sign in (-1.0, 1.0)],
+)
+def test_ladder_levels_are_sign_changes_of_the_public_family_function(theory, m, sign):
+    # the ladders solve their own real root function; each level must still
+    # be a sign change of the public family function, and the two functions
+    # must agree bit for bit, so that they cannot drift apart
+    rnd = random.Random(4040 + 10 * m + int(sign))
+    found = 0
+    for _ in range(40):
+        coupling = sign * math.exp(rnd.uniform(math.log(0.25), math.log(4.0)))
+        k0, zeta = rnd.uniform(0.5, 2.0), rnd.uniform(-math.pi / 2 + 0.03, math.pi / 2 - 0.03)
+        spec = ProblemSpec(theory, m, coupling, k0, ExtensionParam(zeta))
+        if theory is Theory.OSCILLATOR:
+            levels = radialspec.osc_spectrum(spec, 15).discrete
+            target = -math.tan(zeta)
+            h = lambda E: radialspec.osc_family_function(E, coupling, k0).real - target
+            ladder, _ = oscillator._root_function(coupling, k0, target)
+        else:
+            levels = radialspec.coul_spectrum(spec, 15).discrete
+            target = math.tan(zeta) if m else -math.tan(zeta)
+            h = lambda E: radialspec.coul_family_function(m, E, coupling, k0).real - target
+            ladder = coulomb._root_function(abs(m), coupling, k0, target)
+        for e, _ in levels:
+            near = (e * (1.0 - 1e-14), e * (1.0 + 1e-14))
+            lo, hi = map(h, near)
+            assert min(lo, hi) <= 0.0 <= max(lo, hi), (spec, e)
+            for x in (e, *near, e * rnd.uniform(0.5, 2.0)):
+                assert ladder(x) == h(x), (spec, x)
+        found += len(levels)
+    # 15 levels per ladder; a repulsive family cell has one level or none
+    assert found == 600 if sign < 0 else found >= 10
 
 
 @pytest.mark.parametrize(

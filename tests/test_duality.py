@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from radialspec import duality
 from radialspec.core import ValidationError
+from radialspec.coulomb import coul_eigenfunction, coul_spectrum
 from radialspec.duality import (
     DualityMap,
     coulomb_to_oscillator,
@@ -111,16 +113,31 @@ def test_coefficient_identities_m0(rng):
 # ---------------------------------------------------------------- spectra
 
 
-def test_spectrum_correspondence_unique_and_family():
+def test_spectrum_correspondence_unique_and_family(monkeypatch):
+    # each Coulomb level the check uses is the one coul_spectrum returns
+    used = []
+
+    def recorded(spec, n):
+        wave = coul_eigenfunction(spec, n)
+        used.append((spec, n, wave.energy))
+        return wave
+
+    monkeypatch.setattr(duality, "coul_eigenfunction", recorded)
     for m in (0, 1, 2, 3):
         zeta = math.pi / 2 if m == 0 else None
-        out = verify_spectrum_correspondence(m, 2.0, 4, zeta=zeta)
+        out = verify_spectrum_correspondence(m, 2.0, 30, zeta=zeta)
         assert out["pass"], out
+    assert [n for _, n, _ in used] == list(range(31)) * 4
+    for spec, n, energy in used:
+        assert energy == coul_spectrum(spec, n + 1).discrete[n][0]
 
 
 def test_spectrum_correspondence_validation():
     with pytest.raises(ValidationError):
         verify_spectrum_correspondence(1, -2.0, 3)
+    for n_max in (-1, -3):  # an empty or a negative oscillator level count
+        with pytest.raises(ValidationError, match="n_max"):
+            verify_spectrum_correspondence(1, 2.0, n_max)
     with pytest.raises(ValidationError):
         verify_spectrum_correspondence(0, 2.0, 3)  # m = 0 needs zeta = pi/2
     with pytest.raises(ValidationError):
