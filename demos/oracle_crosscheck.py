@@ -3,9 +3,10 @@
 
 The closed-form bound levels come from explicit ladder formulas (or root
 equations for the extension families).  Two independent oracles confirm them:
-a sparse finite-difference discretization of the radial operator, and a
-two-sided shooting method that matches logarithmic derivatives at an interior
-point.  Neither oracle knows anything about the closed forms.
+a finite-volume discretization of the radial operator (a symmetric
+tridiagonal pencil), and a shooting method that carries the decaying solution
+inwards and matches it against the Frobenius series near the origin by a
+normalised Wronskian.  Neither oracle knows anything about the closed forms.
 """
 
 import math

@@ -2,10 +2,11 @@
 
 Both radial equations are one in the dual variable u = sqrt(x / kappa0)
 (_equation). A finite-volume eigensolver (a symmetric tridiagonal pencil)
-solves both in u, and a shooting solver on a fourth-order Magnus propagator
-each in its own radius. The extension families enter through one Frobenius
-start in u (_frobenius), summed at the energy at hand: its flux is the inner
-row of the finite volumes, and it starts the shots.
+solves both in u, and so does a shooting solver, which carries the decaying
+solution inwards from the box edge on one fourth-order Magnus span. The
+extension families enter through one Frobenius series in u (_frobenius),
+summed at the energy at hand: its flux is the inner row of the finite
+volumes, and the shots match against it at u_s = min(0.5, 0.4 U).
 """
 
 from __future__ import annotations
@@ -67,21 +68,10 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
-        if not (0 < self.u_min < self.u_max):
-            raise ValidationError("need 0 < u_min < u_max")
+        if not 0 < self.u_min < self.u_max < math.inf:
+            raise ValidationError("need 0 < u_min < u_max, both finite")
         if self.points < _MIN_POINTS:
             raise ValidationError(f"need at least {_MIN_POINTS} grid points")
-
-
-def _potential(spec: ProblemSpec):
-    """V(r) in the theory's own radius, which the shots propagate in,
-    elementwise: takes a float or an array of radii."""
-    m2 = spec.m * spec.m
-    if spec.theory is Theory.OSCILLATOR:
-        lam = spec.coupling
-        return lambda u: (m2 - 0.25) / (u * u) + lam * u * u
-    g = spec.coupling
-    return lambda x: (m2 - 1.0) / (4.0 * x * x) + g / x
 
 
 def _equation(spec: ProblemSpec) -> tuple[float, float, float, float]:
@@ -479,100 +469,79 @@ _MAX_DOUBLINGS = 6
 _SHOOT_REL = 1e-10
 
 
-def _magnus(vpot, a, b, cells: int):
-    """E -> propagators of (psi, psi') for -psi'' + vpot psi = E psi over spans
-    a[i] -> b[i] up to positive scales, shape (2, 2, 2, spans), on geometric
-    meshes of `cells` and 2 `cells` cells: fourth-order Magnus, two Gauss
-    points a cell (Iserles & Norsett 1999), outward spans in t = ln u for
-    phi = u^(-1/2) psi, where phi'' = (u^2 (V - E) + 1/4) phi makes
-    (m^2 - 1/4)/u^2 the constant m^2. exp(Omega) = cosh(s) + sinh(s)/s Omega,
-    s^2 = -det Omega, over cosh(s) (cos/sin where s^2 < 0); the cells map
-    (psi, psi') at their nodes, multiplied in a rescaled pairwise tree."""
-    a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[:, None]
-    out = a < b
-    t = np.concatenate([np.linspace(0.0, 1.0, cells + 1), np.linspace(0.0, 1.0, 2 * cells + 1)])
-    x = np.log(a) + np.log(b / a) * t  # ln u at the nodes; r = sqrt(u) on outward spans
-    r, x = np.where(out, np.exp(0.5 * x), 1.0), np.where(out, x, np.exp(x))
-    seam = np.arange(3 * cells + 1) != cells  # no cell joins the two meshes
-    x0, x1, r0, r1 = (v[:, s][:, seam] for v in (x, r) for s in (np.s_[:-1], np.s_[1:]))
-    h = x1 - x0
-    g = x0 + 0.5 * h + np.multiply.outer([-1.0, 1.0], h) * (math.sqrt(3.0) / 6.0)
-    g_out = np.where(out, g, 0.0)  # on inward spans g is u itself, whose exp can overflow
-    u, w = np.where(out, np.exp(g_out), g), np.where(out, np.exp(2.0 * g_out), 1.0)  # q = w (V - E)
-    wv, k, quarter = w * vpot(u), math.sqrt(3.0) / 12.0 * h * h, np.where(out, 0.25 * h, 0.0)
-    d0, d1 = k * (wv[0] - wv[1]), k * (w[0] - w[1])  # Omega = [[d, h], [c, -d]]
-    c0, c1 = 0.5 * h * (wv[0] + wv[1]), 0.5 * h * (w[0] + w[1])
-    mu, rho = r0 * r1, r1 / r0
-    e0, e1 = (np.where(out, d0, 0.0) + c0) / mu, (np.where(out, d1, 0.0) + c1) / mu
+def _magnus(vpot, weight, a: float, b: float, cells: int):
+    """E -> propagators of (phi, phi') for -phi'' + (vpot - E weight) phi = 0
+    from u = a to u = b up to positive scales, shape (2, 2, 2) (mesh, row,
+    column), on geometric meshes of `cells` and 2 `cells` cells: fourth-order
+    Magnus, two Gauss points a cell (Iserles & Norsett 1999). A cell's
+    Omega = [[d, h], [c, -d]] is linear in E, and exp(Omega) = cosh(s) +
+    sinh(s)/s Omega, s^2 = -det Omega, over cosh(s) (cos/sin where s^2 < 0);
+    the cells are multiplied in a rescaled pairwise tree."""
+    u = np.geomspace(a, b, 2 * cells + 1)  # the fine mesh; every other node, the coarse one
+    u0, u1 = np.concatenate([u[:-1:2], u[:-1]]), np.concatenate([u[2::2], u[1:]])
+    h = u1 - u0
+    g = u0 + 0.5 * h + np.multiply.outer([-1.0, 1.0], h) * (math.sqrt(3.0) / 6.0)
+    v, w, k = vpot(g), weight(g), math.sqrt(3.0) / 12.0 * h * h
+    d0, d1 = k * (v[0] - v[1]), k * (w[0] - w[1])
+    c0, c1 = 0.5 * h * (v[0] + v[1]), 0.5 * h * (w[0] + w[1])
 
     def pairs(m):  # later cell times earlier cell
         return np.einsum("ij...,jk...->ik...", m[..., 1::2], m[..., ::2])
 
     def products(E: float) -> np.ndarray:
-        d = d0 - d1 * E
-        s2 = d * d + h * (c0 + quarter - c1 * E)
+        d, c = d0 - d1 * E, c0 - c1 * E
+        s2 = d * d + h * c
         s = np.maximum(np.sqrt(np.abs(s2)), np.finfo(float).tiny)  # s^2 = 0: tanh(s)/s = 1
         f0, f1, osc = np.ones_like(s), np.tanh(s), s2 < 0
         f0[osc], f1[osc] = np.cos(s[osc]), np.sin(s[osc])
         f1 /= s
-        fd = f1 * (d - 2.0 * quarter)
-        m = np.array([[rho * (f0 + fd), f1 * h * mu], [f1 * (e0 - e1 * E), (f0 - fd) / rho]])
-        m = np.concatenate([m[..., :cells], pairs(m[..., cells:])], axis=2)
+        m = np.array([[f0 + f1 * d, f1 * h], [f1 * c, f0 - f1 * d]])
+        m = np.stack([m[..., :cells], pairs(m[..., cells:])], axis=2)
         while m.shape[-1] > 1:
             m = pairs(m)
             m /= np.abs(m).max(axis=(0, 1))
-        return m[..., 0].reshape(2, 2, 2, -1)
+        return m[..., 0].transpose(2, 0, 1)
 
     return products
 
 
-def _shot_start(spec: ProblemSpec, E: float, r: float) -> tuple[float, float]:
-    """(psi, psi') of the Frobenius start at the theory's own radius r: phi(r),
-    or the Coulomb u^(1/2) phi(u) at u = sqrt(x / kappa0), x psi_x = u psi_u / 2."""
-    if spec.theory is Theory.OSCILLATOR:
-        psi, du_psi = _frobenius(spec, E, r)
-        return psi, du_psi / r
-    psi, du_psi = _frobenius(spec, E, math.sqrt(r / spec.kappa0), 0.5)
-    return psi, du_psi / (2.0 * r)
-
-
 def shoot_eigenvalue(
-    spec: ProblemSpec,
-    bracket: tuple[float, float],
-    u_min: float = 1e-6,
-    u_max: float | None = None,
+    spec: ProblemSpec, bracket: tuple[float, float], u_max: float | None = None
 ) -> float:
     """Locate the single eigenvalue inside `bracket` by the sign of the
-    normalized Wronskian F of the outward and inward solutions at a midpoint,
-    Richardson-extrapolated from _magnus on n and 2n cells. n doubles until
-    |F_2n - F_n|/15 over F's slope is within 1e-10 max(1, |E|) across the
-    bracket (so brentq sees one function) and at the root, or raises. The
-    outward solution starts from the Frobenius start at u_min (x_min for the
-    Coulomb problem), summed at each trial energy; the Coulomb shots
-    propagate in x, where the |m| = 1 extension enters psi' at O(1)."""
+    normalized Wronskian F, at u_s = min(0.5, 0.4 U), of the extension's
+    solution, summed there from the Frobenius series (_frobenius), and the
+    decaying solution, carried inwards from the box edge U by _magnus on n
+    and 2n cells in u (_equation) and Richardson-extrapolated. U is u_max
+    for the oscillator and sqrt(u_max / kappa0) for the Coulomb problem,
+    whose u_max is in x. n doubles until |F_2n - F_n|/15 over F's slope is
+    within 1e-10 max(1, |E|) across the bracket (so brentq sees one
+    function) and at the root, or raises."""
     lo, hi = bracket
-    if not lo < hi:
-        raise ValidationError("bracket must satisfy lo < hi")
-    vpot = _potential(spec)
+    if not -math.inf < lo < hi < math.inf:
+        raise ValidationError(f"bracket must be finite with lo < hi, got {bracket!r}")
     if u_max is None:
         if spec.theory is Theory.OSCILLATOR:
             u_max = max(6.0, 3.0 * (abs(hi) / max(spec.coupling, 1e-12)) ** 0.5)
         else:
             u_max = max(20.0, 30.0 / math.sqrt(max(-hi, 1e-4)))
-    if not 0 < u_min < u_max:
-        raise ValidationError(f"need 0 < u_min < u_max, got {u_min!r} and {u_max!r}")
-    u_mid = min(max(1.0, 20.0 * u_min), 0.4 * u_max)
+    if not 0 < u_max < math.inf:
+        raise ValidationError(f"need a finite u_max > 0, got {u_max!r}")
+    big_u = u_max if spec.theory is Theory.OSCILLATOR else math.sqrt(u_max / spec.kappa0)
+    u_s = min(0.5, 0.4 * big_u)
+    (a0, a2, b0, b2), m2 = _equation(spec), spec.m * spec.m - 0.25
+    vpot, weight = (lambda u: m2 / (u * u) + a0 + a2 * u * u), (lambda u: b0 + b2 * u * u)
 
     def mismatch(E: float) -> tuple[float, float]:  # F and its error estimate
-        m, start = products(E), _shot_start(spec, E, u_min)
-        kap = math.sqrt(max(vpot(u_max) - E, 1e-12))
-        out = m[:, 0, :, 0] * start[0] + m[:, 1, :, 0] * start[1]
-        inn = m[:, 0, :, 1] - kap * m[:, 1, :, 1]
-        f = (out[0] * inn[1] - out[1] * inn[0]) / np.sqrt((out * out).sum(0) * (inn * inn).sum(0))
+        phi, du_phi = _frobenius(spec, E, u_s)
+        out = np.array([phi, du_phi / u_s])
+        kap = math.sqrt(max(vpot(big_u) - E * weight(big_u), 1e-12))
+        inn = products(E) @ [1.0, -kap]  # (phi, phi') at u_s on either mesh
+        f = (out[0] * inn[:, 1] - out[1] * inn[:, 0]) / np.sqrt((out @ out) * (inn * inn).sum(1))
         return float(f[1] + (f[1] - f[0]) / 15.0), float(abs(f[1] - f[0]) / 15.0)
 
     for level in range(_MAX_DOUBLINGS + 1):
-        products = _magnus(vpot, [u_min, u_max], [u_mid, u_mid], _CELLS << level)
+        products = _magnus(vpot, weight, big_u, u_s, _CELLS << level)
         (f_lo, e_lo), (f_hi, e_hi) = mismatch(lo), mismatch(hi)
         tol = _SHOOT_REL * max(1.0, min(abs(lo), abs(hi)))
         if max(e_lo, e_hi) * (hi - lo) > tol * abs(f_hi - f_lo):

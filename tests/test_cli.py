@@ -303,6 +303,12 @@ def test_verify_continuous_cell_exits_2(capsys):
     assert code == 2
 
 
+def test_verify_non_finite_box_exits_2(capsys):
+    argv = ["verify", "--theory", "osc", "--m", "1", "--coupling", "1", "--umax", "inf"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: need 0 < u_min < u_max, both finite")
+
+
 # ---------------------------------------------------------------- determinism
 
 

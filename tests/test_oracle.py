@@ -16,9 +16,9 @@ from radialspec.oracle import (
     GridResolutionWarning,
     _fd_matrix,
     _fd_nodes,
+    _equation,
+    _frobenius,
     _magnus,
-    _potential,
-    _shot_start,
     GridSpec,
     compare_spectra,
     fd_eigenvalues,
@@ -51,6 +51,8 @@ def test_grid_validation():
         GridSpec(2.0, 1.0, 500)
     with pytest.raises(ValidationError):
         GridSpec(0.1, 1.0, 50)
+    with pytest.raises(ValidationError, match="finite"):
+        GridSpec(0.1, math.inf, 500)
     with pytest.raises(ValidationError):
         fd_eigenvalues(ProblemSpec(Theory.OSCILLATOR, 1, 1.0), _staggered(8.0, 500), 0)
 
@@ -193,22 +195,6 @@ def test_verify_grids_that_breach_warn(spec, u_max, fault):
     with pytest.warns(GridResolutionWarning, match=fault):
         vals = fd_eigenvalues(spec, GridSpec(1e-3, u_max, 4000), len(closed.discrete))
     assert not compare_spectra(closed, vals, tol=1e-3)["pass"]
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ProblemSpec(Theory.OSCILLATOR, 1, 1.3),
-        ProblemSpec(Theory.OSCILLATOR, 0, -0.7, 1.0, ExtensionParam(0.7)),
-        ProblemSpec(Theory.COULOMB, 2, -1.0),
-        ProblemSpec(Theory.COULOMB, 1, 0.6, 1.0, ExtensionParam(-0.4)),
-    ],
-)
-def test_potential_on_an_array_matches_pointwise(spec):
-    # the Magnus propagator applies the potential to whole meshes at once
-    nodes = np.linspace(1e-3, 15.0, 40000)
-    vpot = _potential(spec)
-    assert np.array_equal(vpot(nodes), np.array([vpot(u) for u in nodes]))
 
 
 # ---------------------------------------------------------------- cascade solve
@@ -531,72 +517,108 @@ def test_shoot_coulomb_m1_family():
 
 
 @pytest.mark.parametrize(
-    "spec, closed, u_min",
+    "spec, closed",
     [
-        (ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 4.0, 1e-6),
-        (ProblemSpec(Theory.COULOMB, 2, -1.0), -1.0 / 9.0, 1e-6),
-        # at m = 0 the x^(1/2) ln x channel differs in log-derivative by only
-        # 1/(x ln x), so the start needs the Frobenius terms past x^(1/2); with
-        # them, a start far inside the default u_min and the default both hold 1e-9
-        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), -1.0, 1e-10),
-        (ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, ExtensionParam(math.pi / 2)), -1.0, 1e-6),
+        pytest.param(ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 4.0, id="osc-m1"),
+        pytest.param(ProblemSpec(Theory.COULOMB, 2, -1.0), -1.0 / 9.0, id="coul-m2"),
+        # at m = 0 the u^(1/2) ln u channel differs in log-derivative by only
+        # 1/(u ln u): the start holds 1e-9 because it sums the whole series
+        pytest.param(ProblemSpec(Theory.COULOMB, 0, -1.0, 1.0, _HALF_PI), -1.0, id="coul-m0-half-pi"),
     ],
 )
-def test_shoot_pure_power_matches_closed_form(spec, closed, u_min):
-    e = shoot_eigenvalue(spec, _bracket(closed), u_min=u_min)
+def test_shoot_pure_power_matches_closed_form(spec, closed):
+    e = shoot_eigenvalue(spec, _bracket(closed))
     assert abs(e - closed) < 1e-9 * abs(closed)
 
 
+def _spectrum(spec, levels):
+    spectrum = osc_spectrum if spec.theory is Theory.OSCILLATOR else coul_spectrum
+    return [e for e, _ in spectrum(spec, levels=levels).discrete]
+
+
+def _closed_and_bracket(spec, level=0):
+    """Level `level` and a bracket around it: 0.4 of the gap to each
+    neighbour (the one neighbour's gap either side at the ends of the
+    ladder), or 0.1 |E| for a lone level."""
+    levels = _spectrum(spec, level + 2)
+    e = levels[level]
+    below = e - levels[level - 1] if level else None
+    above = levels[level + 1] - e if level + 1 < len(levels) else None
+    below, above = below or above or 0.25 * abs(e), above or below or 0.25 * abs(e)
+    return e, (e - 0.4 * below, e + 0.4 * above)
+
+
+# the ground level of every cell, level 3 in every cell that has one, and
+# level 10 of two oscillator ladders
+_EVERY_SHOT = [pytest.param(case.values[0], 0, id=case.id) for case in _EVERY_CELL]
+_EVERY_SHOT += [
+    pytest.param(case.values[0], 3, id=f"{case.id}-level3")
+    for case in _EVERY_SHOT
+    if len(_spectrum(case.values[0], 4)) == 4
+] + [
+    pytest.param(ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 10, id="osc-m1-level10"),
+    pytest.param(ProblemSpec(Theory.OSCILLATOR, 0, 1.0, 1.0, ExtensionParam(0.3)), 10,
+                 id="osc-m0-z0.3-level10"),
+]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("spec, u_max", _EVERY_CELL)
-def test_shoot_matches_the_closed_form_in_every_cell(spec, u_max):
-    # the Frobenius start is exact to rounding, so at the default u_min the
-    # shot is held to 1e-9 relative to max(1, |E|) in every cell, in the box
-    # the FD test uses: the default box x <= 20 misses its tolerance for the
-    # deep repulsive Coulomb level (-519). No RuntimeWarning either: exp once
-    # overflowed on the inward spans of coul-m3-k0.5 (u_max = 650)
-    closed, bracket = _closed_and_bracket(spec)
-    e = shoot_eigenvalue(spec, bracket, u_max=u_max)
+@pytest.mark.parametrize("spec, level", _EVERY_SHOT)
+def test_shoot_matches_the_closed_form_in_every_cell(spec, level):
+    # the Frobenius series is exact to rounding at the match radius, so every
+    # cell shoots within 1e-9 relative to max(1, |E|) in the default box,
+    # excited levels, whose solutions oscillate inside u_s, too. That
+    # includes the deep repulsive Coulomb level (-519), which missed its
+    # tolerance in x <= 20 when the shot started at u = 1e-6 and ran outwards
+    # in x. No RuntimeWarning either
+    closed, bracket = _closed_and_bracket(spec, level)
+    e = shoot_eigenvalue(spec, bracket)
     assert abs(e - closed) <= 1e-9 * max(1.0, abs(closed))
 
 
-@pytest.mark.parametrize("u_min", [1e-8, 1e-10])
-def test_shoot_log_mixed_start_converges_as_u_min_shrinks(u_min):
-    # the start and its derivative are summed from the Frobenius series: a
-    # central difference with step 1e-6 u_min lost 1.6e-3 and 8.8e-2 relative
-    # at these two radii, and the first-order asymptote 6e-6 at the default
-    spec = ProblemSpec(Theory.COULOMB, 1, -1.0, 1.0, ExtensionParam(0.35))
-    (e0, _), (e1, _) = coul_spectrum(spec, levels=2).discrete
-    half = 0.4 * (e1 - e0)
-    e = shoot_eigenvalue(spec, (e0 - half, e0 + half), u_min=u_min)
-    assert abs(e - e0) < 1e-9 * abs(e0)
+def _coefficients(spec):
+    """(V, B) of -phi'' + (V - E B) phi = 0 in u, from _equation."""
+    (a0, a2, b0, b2), m2 = _equation(spec), spec.m * spec.m - 0.25
+    return (lambda u: m2 / (u * u) + a0 + a2 * u * u), (lambda u: b0 + b2 * u * u)
 
 
-def _magnus_step(vpot, E, a, b, y0):
-    """(psi, psi')(b) / max|.| from (psi, psi')(a) = y0: _magnus on 1024 and
+def _magnus_step(vpot, weight, E, a, b, y0):
+    """(phi, phi')(b) / max|.| from (phi, phi')(a) = y0: _magnus on 1024 and
     2048 cells and one Richardson step, as shooting takes it."""
-    ys = _magnus(vpot, [a], [b], 1024)(E)[..., 0].transpose(2, 0, 1) @ y0
+    ys = _magnus(vpot, weight, a, b, 1024)(E) @ y0
     coarse, fine = ys / np.abs(ys).max(axis=1, keepdims=True)
     y = fine + (fine - coarse) / 15.0
     return y / np.abs(y).max()
 
 
-@pytest.mark.parametrize(
-    "a, b, y0",
-    [(0.5, 3.0, [0.0, 1.0]), (6.0, 2.0, [1.0, 0.0])],
-    ids=["outward", "inward"],
-)
-def test_propagator_starts_from_an_exact_zero_component(a, b, y0):
+def _dop853(q, edges, y0, atol=1e-300):
+    """(phi, phi') at edges[-1] / max|.| for phi'' = q phi, by solve_ivp's
+    DOP853 from edges[0] at rtol 1e-12, renormalised at every edge."""
     from scipy.integrate import solve_ivp
 
-    vpot = _potential(ProblemSpec(Theory.OSCILLATOR, 1, 1.0))
-    E = 5.0
-    ref = solve_ivp(
-        lambda u, y: [y[1], (vpot(u) - E) * y[0]],
-        (a, b), y0, method="DOP853", rtol=1e-12, atol=1e-14,
-    ).y[:, -1]
-    ref = ref / np.max(np.abs(ref))
-    got = _magnus_step(vpot, E, a, b, y0)
+    y = np.array(y0, dtype=float)
+    for a, b in zip(edges[:-1], edges[1:]):
+        y = solve_ivp(
+            lambda u, y: [y[1], q(u) * y[0]], (a, b), y,
+            method="DOP853", rtol=1e-12, atol=atol,
+        ).y[:, -1]
+        y = y / np.abs(y).max()
+    return y
+
+
+@pytest.mark.parametrize(
+    "spec, E, a, b",
+    [
+        (ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 5.0, 6.0, 2.0),
+        # the weight 4 kappa0^2 u^2 of the Coulomb equation in u
+        (ProblemSpec(Theory.COULOMB, 2, -1.0), -0.2, 6.0, 1.0),
+    ],
+    ids=["inward", "inward-coulomb"],
+)
+def test_propagator_starts_from_an_exact_zero_component(spec, E, a, b):
+    vpot, weight = _coefficients(spec)
+    got = _magnus_step(vpot, weight, E, a, b, [1.0, 0.0])
+    ref = _dop853(lambda u: vpot(u) - E * weight(u), [a, b], [1.0, 0.0], atol=1e-14)
     assert np.max(np.abs(got - ref)) < 1e-8
 
 
@@ -610,26 +632,11 @@ def test_shoot_capped_refinement_raises(monkeypatch):
         shoot_eigenvalue(spec, _bracket(4.0))
 
 
-def _dop853(vpot, E, edges, y0):
-    """(psi, psi') at edges[-1] / max|.|, by solve_ivp's DOP853 from edges[0]
-    at rtol 1e-12, renormalised at every edge."""
-    from scipy.integrate import solve_ivp
-
-    y = np.array(y0, dtype=float)
-    for a, b in zip(edges[:-1], edges[1:]):
-        y = solve_ivp(
-            lambda u, y: [y[1], (vpot(u) - E) * y[0]], (a, b), y,
-            method="DOP853", rtol=1e-12, atol=1e-300,
-        ).y[:, -1]
-        y = y / np.abs(y).max()
-    return y
-
-
 @pytest.mark.parametrize(
     "vpot, E, edges, y0",
     [
         # inward through the oscillator barrier: the solution grows by ~e^800
-        (_potential(ProblemSpec(Theory.OSCILLATOR, 1, 1.0)), 5.0, np.linspace(40.0, 2.0, 39),
+        (_coefficients(ProblemSpec(Theory.OSCILLATOR, 1, 1.0))[0], 5.0, np.linspace(40.0, 2.0, 39),
          [1.0, -math.sqrt(40.0**2 + 0.75 / 40.0**2 - 5.0)]),
         # E > V on (2, 4), cos/sin cells; q = V - E vanishes identically on
         # (1, 2), where every cell has s^2 = 0 exactly
@@ -639,9 +646,9 @@ def _dop853(vpot, E, edges, y0):
     ids=["barrier_e800", "allowed_and_flat"],
 )
 def test_propagator_is_robust(vpot, E, edges, y0):
-    got = _magnus_step(vpot, E, edges[0], edges[-1], y0)
+    got = _magnus_step(vpot, lambda u: 1.0 + 0.0 * u, E, edges[0], edges[-1], y0)
     assert np.all(np.isfinite(got)) and np.abs(got).max() == pytest.approx(1.0, abs=1e-15)
-    assert np.max(np.abs(got - _dop853(vpot, E, edges, y0))) < 1e-8
+    assert np.max(np.abs(got - _dop853(lambda u: vpot(u) - E, edges, y0))) < 1e-8
 
 
 # one seeded spec from each shooting cell of the benchmark's oracle workload,
@@ -658,23 +665,17 @@ _BENCH_SHOTS = [
 _BENCH_IDS = ["osc_m1_power", "osc_m0_log", "coul_m1_log", "coul_m2_power"]
 
 
-def _closed_and_bracket(spec):
-    """The ground level and a bracket around it: 0.4 of the gap to the next
-    level either side, or 0.1 |E| for a lone level."""
-    spectrum = osc_spectrum if spec.theory is Theory.OSCILLATOR else coul_spectrum
-    levels = [e for e, _ in spectrum(spec, levels=2).discrete]
-    half = 0.4 * (levels[1] - levels[0]) if len(levels) > 1 else 0.1 * abs(levels[0])
-    return levels[0], (levels[0] - half, levels[0] + half)
-
-
-def _reference_mismatch(spec, E, u_min, u_max):
-    """The shooting matching function's sign, on chunked DOP853 solves at
-    rtol 1e-12 matched at u = 1, from the same starts."""
-    vpot = _potential(spec)
-    kap = math.sqrt(max(vpot(u_max) - E, 1e-12))
-    out = _dop853(vpot, E, np.geomspace(u_min, 1.0, 25), _shot_start(spec, E, u_min))
-    inn = _dop853(vpot, E, np.geomspace(u_max, 1.0, 25), [1.0, -kap])
-    return out[0] * inn[1] - out[1] * inn[0]
+def _reference_mismatch(spec, E, u_max):
+    """The shooting matching function's sign from chunked DOP853 solves in u
+    (_equation) at rtol 1e-12: the decaying solution carried inwards from
+    the box edge to u = 0.25, half the shot's match radius, against the
+    Frobenius series there."""
+    vpot, weight = _coefficients(spec)
+    q = lambda u: vpot(u) - E * weight(u)  # noqa: E731
+    big_u = u_max if spec.theory is Theory.OSCILLATOR else math.sqrt(u_max / spec.kappa0)
+    f, du_f = _frobenius(spec, E, 0.25)
+    inn = _dop853(q, np.geomspace(big_u, 0.25, 25), [1.0, -math.sqrt(max(q(big_u), 1e-12))])
+    return f * inn[1] - du_f / 0.25 * inn[0]
 
 
 @pytest.mark.parametrize("spec, u_max, dop853_shot", _BENCH_SHOTS, ids=_BENCH_IDS)
@@ -690,19 +691,25 @@ def test_shot_accuracy_in_the_bench_cells(spec, u_max, dop853_shot):
     # is the closed form to 1e-9. The first-order Coulomb start held the
     # DOP853 shot 6e-6 off it
     step = 1e-10 * scale
-    assert _reference_mismatch(spec, e - step, 1e-6, u_max) * _reference_mismatch(
-        spec, e + step, 1e-6, u_max) < 0
+    assert _reference_mismatch(spec, e - step, u_max) * _reference_mismatch(
+        spec, e + step, u_max) < 0
     if spec.theory is Theory.OSCILLATOR:
         assert abs(e - closed) <= abs(dop853_shot - closed) + 1e-10 * scale
     assert abs(e - closed) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("spec, u_max, dop853_shot", _BENCH_SHOTS, ids=_BENCH_IDS)
-def test_shot_error_estimate_bounds_a_finer_solve(monkeypatch, spec, u_max, dop853_shot):
-    _, bracket = _closed_and_bracket(spec)
+def _record_cells(monkeypatch):
+    """Patch _magnus to log the coarse cell count of each mesh pair."""
     cells = []
     magnus = oracle._magnus
     monkeypatch.setattr(oracle, "_magnus", lambda *args: cells.append(args[-1]) or magnus(*args))
+    return cells
+
+
+@pytest.mark.parametrize("spec, u_max, dop853_shot", _BENCH_SHOTS, ids=_BENCH_IDS)
+def test_shot_error_estimate_bounds_a_finer_solve(monkeypatch, spec, u_max, dop853_shot):
+    _, bracket = _closed_and_bracket(spec)
+    cells = _record_cells(monkeypatch)
     # from 32 cells a span, where the first meshes are far off, the shot
     # refines until the estimate passes; a solve on meshes four times finer
     # than the accepted ones, with no refinement allowed, lands within it
@@ -712,6 +719,16 @@ def test_shot_error_estimate_bounds_a_finer_solve(monkeypatch, spec, u_max, dop8
     monkeypatch.setattr(oracle, "_CELLS", 4 * cells[-1])
     monkeypatch.setattr(oracle, "_MAX_DOUBLINGS", 0)
     assert abs(shoot_eigenvalue(spec, bracket, u_max=u_max) - e) <= 1e-10 * max(1.0, abs(e))
+
+
+def test_bench_log_mixed_oscillator_shot_is_not_over_refined(monkeypatch):
+    # its bracket spans E = 0, so its tolerance is 1e-10 absolute; the shot
+    # from u = 1e-6 needed 2048 cells in the benchmark's default box
+    spec = _BENCH_SHOTS[1][0]
+    _, bracket = _closed_and_bracket(spec)
+    cells = _record_cells(monkeypatch)
+    shoot_eigenvalue(spec, bracket)
+    assert 2 * cells[-1] <= 512
 
 
 # A fresh interpreter reports NumPy and SciPy as the import left them, then
@@ -756,23 +773,27 @@ def test_shooting_does_not_load_scipy_integrate(fresh_python):
     assert oracle._INDEX_TOL == np.finfo(float).tiny
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "u_min, u_max",
-    [(0.0, None), (-1.0, None), (float("nan"), None), (7.0, 5.0), (100.0, None)],
-    ids=["zero", "negative", "nan", "above_u_max", "above_computed_u_max"],
+    "u_max",
+    [0.0, -1.0, float("nan"), math.inf, -math.inf],
+    ids=["zero", "negative", "nan", "inf", "negative_inf"],
 )
-def test_shoot_rejects_bad_radii(u_min, u_max):
-    spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
-    with pytest.raises(ValidationError, match="u_min < u_max"):
-        shoot_eigenvalue(spec, _bracket(4.0), u_min=u_min, u_max=u_max)
+def test_shoot_rejects_bad_radii(u_max):
+    for spec, closed in ((ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 4.0),
+                         (ProblemSpec(Theory.COULOMB, 2, -1.0), -1.0 / 9.0)):
+        with pytest.raises(ValidationError, match="finite u_max > 0"):
+            shoot_eigenvalue(spec, _bracket(closed), u_max=u_max)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_shoot_rejects_empty_bracket():
     spec = ProblemSpec(Theory.OSCILLATOR, 1, 1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="no sign change"):
         shoot_eigenvalue(spec, (5.0, 7.0))  # no level between 4 and 8
-    with pytest.raises(ValidationError):
-        shoot_eigenvalue(spec, (7.0, 5.0))
+    for bracket in [(7.0, 5.0), (-math.inf, 5.0), (3.6, math.inf), (float("nan"), 5.0)]:
+        with pytest.raises(ValidationError, match="bracket must be finite"):
+            shoot_eigenvalue(spec, bracket)
 
 
 # ---------------------------------------------------------------- comparison
