@@ -13,6 +13,7 @@ two independent maps.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from . import specfun as sf
@@ -204,16 +205,21 @@ def measure(levels, continuum, spec, count: int) -> SpectralMeasure:
     return SpectralMeasure(atoms, density, support)
 
 
+def level(levels, spec, cell, k: int) -> tuple[float, float]:
+    """The k-th atom (E_k, Q_k^2) of the cell, solved for alone."""
+    if k < 0:
+        raise ValidationError("level index must be >= 0")
+    count, atom = levels(spec, cell)
+    if count is not None and k >= count:
+        raise ValidationError(f"cell has no discrete level with index {k}")
+    return atom(k)
+
+
 def eigen_amplitude(levels, continuum, spec, cell, which: int | float):
     """(energy, amplitude, bound): an int selects a discrete level, whose one
     root is solved for, a float an energy of the continuum."""
     if isinstance(which, int) and not isinstance(which, bool):
-        if which < 0:
-            raise ValidationError("level index must be >= 0")
-        count, atom = levels(spec, cell)
-        if count is not None and which >= count:
-            raise ValidationError(f"cell has no discrete level with index {which}")
-        energy, weight = atom(which)
+        energy, weight = level(levels, spec, cell, which)
         return energy, math.sqrt(weight), True
     energy = float(which)
     dens = SpectralMeasure((), *continuum(spec, cell)).density_at(energy)
@@ -248,6 +254,16 @@ def family_wave(pair, zeta: float, amp: float, decaying=None, switch: float = 0.
         return (amp * ratio * decaying(r)).real
 
     return ev
+
+
+@functools.lru_cache(maxsize=16)
+def green_row(build, spec, energy):
+    """build(spec, energy): a Green row (hi, lo) -> G(hi, lo) whose parts that
+    depend on neither radius are built once.  The last 16 rows are kept, so
+    the points of one row, the common way to sample G, share their Gamma and
+    psi factors and their plans' term tables.  A kept row returns bit for bit
+    what a fresh one returns, since its plans do."""
+    return build(spec, energy)
 
 
 def family_green(pair, omega: complex, zeta: float, weight: float, hi: float, lo: float) -> complex:

@@ -35,6 +35,7 @@ __all__ = [
     "coul_family_function",
     "coul_critical_zeta",
     "coul_spectrum",
+    "coul_level",
     "coul_density",
     "coul_green",
     "coul_spectral_omega",
@@ -322,6 +323,11 @@ def coul_spectrum(spec: ProblemSpec, levels: int = 12) -> SpectralMeasure:
     return cf.measure(_coul_levels, _coul_continuum, spec, levels)
 
 
+def coul_level(spec: ProblemSpec, k: int) -> tuple[float, float]:
+    """The k-th discrete level and its weight (E_k, Q_k^2), solved for alone."""
+    return cf.level(_coul_levels, spec, classify(spec), k)
+
+
 def coul_density(spec: ProblemSpec, E: float) -> float:
     """Continuous spectral density sigma'(E) on R+; zero for E < 0."""
     return SpectralMeasure((), *_coul_continuum(spec, classify(spec))).density_at(E)
@@ -353,17 +359,24 @@ def coul_green(
     hi, lo = max(x, y), min(x, y)
     if lo <= 0:
         raise ValidationError("x must be positive")
+    return cf.green_row(_coul_green_row, spec, e)(hi, lo)
+
+
+def _coul_green_row(spec: ProblemSpec, e: ComplexEnergy):
+    """(hi, lo) -> G(hi, lo; E), hi >= lo, with omega and the C1/C3 plans, or
+    the family pair and Omega, built once for the row."""
     cell = classify(spec)
     g, k0 = spec.coupling, spec.kappa0
     if cell is RegimeClass.COUL_UNIQUE:
         par = coul_parameters(spec.m, e, g)
         omega = cf.coefficients(par.alpha, abs(spec.m), 2.0 * par.K / k0, k0)[3]
-        return _coul_at("C3", par, k0)(hi) * _coul_at("C1", par, k0)(lo) / omega
+        c3, c1 = _coul_at("C3", par, k0), _coul_at("C1", par, k0)
+        return lambda hi, lo: c3(hi) * c1(lo) / omega
     om = coul_spectral_omega(spec, e)
     pair = _coul_pair(coul_parameters(spec.m, e, g), k0)
     # the pair is (C1, C4) or (C1, C2_0); at m = +-1 om is -Omega_{1,zeta}/kappa0
     weight = -1.0 / k0 if cell is RegimeClass.COUL_M1_FAMILY else 2.0 / k0
-    return cf.family_green(pair, om, spec.zeta, weight, hi, lo)
+    return lambda hi, lo: cf.family_green(pair, om, spec.zeta, weight, hi, lo)
 
 
 # --- eigenfunctions -------------------------------------------------------------

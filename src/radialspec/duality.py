@@ -22,8 +22,8 @@ from .core import (
 )
 from .coulomb import (
     coul_coefficients,
-    coul_eigenfunction,
     coul_family_function,
+    coul_level,
     coul_parameters,
     coul_solution,
 )
@@ -183,14 +183,13 @@ def verify_spectrum_correspondence(
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     if m == 0:
-        if zeta is None or abs(zeta - math.pi / 2) > 1e-12:
+        # the angle snaps to pi/2 as everywhere else (ExtensionParam.is_half_pi)
+        if zeta is None or not ExtensionParam(zeta).is_half_pi:
             raise ValidationError(
                 "m = 0 correspondence is one-to-one only at zeta = pi/2 on both sides"
             )
-        ext = ExtensionParam(math.pi / 2)
-        spec_o = ProblemSpec(Theory.OSCILLATOR, 0, lam, kappa0, ext)
+        spec_o = ProblemSpec(Theory.OSCILLATOR, 0, lam, kappa0, ExtensionParam(zeta))
     else:
-        ext = None
         spec_o = ProblemSpec(Theory.OSCILLATOR, m, lam, kappa0)
     osc_levels = osc_spectrum(spec_o, levels=n_max + 1).discrete
     target = -lam / (4.0 * kappa0 * kappa0)
@@ -204,7 +203,7 @@ def verify_spectrum_correspondence(
             )
         else:
             spec_c = ProblemSpec(Theory.COULOMB, m, g, kappa0)
-        deviations.append(abs(coul_eigenfunction(spec_c, n_idx).energy - target))
+        deviations.append(abs(coul_level(spec_c, n_idx)[0] - target))
     max_dev = max(deviations)
     return {
         "m": m,

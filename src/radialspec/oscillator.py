@@ -363,6 +363,12 @@ def osc_green(
     hi, lo = max(u, v), min(u, v)
     if lo <= 0:
         raise ValidationError("u must be positive")
+    return cf.green_row(_osc_green_row, spec, e)(hi, lo)
+
+
+def _osc_green_row(spec: ProblemSpec, e: ComplexEnergy):
+    """(hi, lo) -> G(hi, lo; W), hi >= lo, with omega and the O1/O3 plans, or
+    the family pair and Omega, built once for the row."""
     cell = classify(spec)
     lam, k0 = spec.coupling, spec.kappa0
     if spec.m != 0:
@@ -373,9 +379,10 @@ def osc_green(
             par = osc_parameters(spec.m, e.value, lam)
             omega = cf.coefficients(par.alpha, abs(spec.m), _osc_r(par, k0), 2.0 * k0)[3]
             o3, o1 = _osc_par_at("O3", par, k0), _osc_par_at("O1", par, k0)
-        return o3(hi) * o1(lo) / omega
+        return lambda hi, lo: o3(hi) * o1(lo) / omega
     om = osc_spectral_omega(spec, e)
-    return cf.family_green(_osc_pair(e, lam, k0), om, spec.zeta, 1.0 / k0, hi, lo)
+    pair = _osc_pair(e, lam, k0)
+    return lambda hi, lo: cf.family_green(pair, om, spec.zeta, 1.0 / k0, hi, lo)
 
 
 # --- eigenfunctions -------------------------------------------------------------

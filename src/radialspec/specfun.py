@@ -10,8 +10,9 @@ gives the m = 0 family solutions at n = 0 and the fourth radial solutions at
 n = |m|) is implemented here directly as power series, under the convergence
 constants REL_TOL, MAX_TERMS and SWITCH_RADIUS.  Each of these kernels is a
 plan built once per parameter set (a, b), holding everything that does not
-depend on z, and summed per point; the solution closures keep one plan per
-energy and sum it at every radius.
+depend on z, among it a table of each series term's factors, and summed per
+point, where only the products with z are left; the solution closures keep
+one plan per energy and sum it at every radius.
 """
 
 from __future__ import annotations
@@ -257,28 +258,28 @@ def pochhammer(z: complex, n: int) -> complex:
 # Each confluent kernel below is a plan, built once per parameter set, and a
 # sum per point z.  The plan holds what does not depend on z: the pole,
 # terminating and degeneracy checks, the Gamma and digamma factors, the
-# Frobenius-polynomial coefficients and the bracket sequence of the
-# differentiated series.  A bracket table grows as far as a point has needed
-# it: the sum extends a private copy and publishes it by rebinding, so a sum
-# still reading the old table is undisturbed.  The branch, the term ratio and
-# the stopping rule stay per point, so a plan returns bit for bit what a fresh
-# plan returns, in any order of points.  A public function builds a plan and
-# sums it once; the solution closures build one per energy.
+# Frobenius-polynomial coefficients and a term table.  The table holds, for
+# each term k + 1 of the power series, its numerator a + k and denominator
+# (b + k)(k + 1), and for the log companion also the bracket of the
+# differentiated series; a point's sum multiplies term k by num z / den, as
+# a sum without the table would, and so is left with the work that needs z.
+# A table grows as far as a point has needed it: past its end the sum
+# extends a private copy term by term and publishes it by rebinding, so a
+# sum still reading the old table is undisturbed.  No sum can stop before
+# term floor(|z|) + 2, so up to there it runs without the stopping test.  The
+# branch and the stopping rule stay per point, so a plan returns bit for bit
+# what a fresh plan returns, in any order of points.  A public function
+# builds a plan and sums it once; the solution closures build one per energy,
+# and a Green row (_confluent.green_row) keeps its plans for all its points.
 
 
 # --- Kummer Phi -------------------------------------------------------------
 
 
-def _kummer_series(a: complex, b: complex, z: complex) -> complex:
-    s = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    az = abs(z)
-    for k in range(MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1))
-        s += term
-        if k > az and abs(term) <= REL_TOL * abs(s):
-            return s
-    raise AccuracyError(abs(term) / max(abs(s), 1e-300), REL_TOL)
+def _first_stop(az: float) -> int:
+    """The first k with k > az, capped at MAX_TERMS (NaN or inf included):
+    a series summed at |z| = az can stop at term k + 1 only from there."""
+    return min(int(min(MAX_TERMS, az)) + 1, MAX_TERMS)
 
 
 def _asymptotic_sum(num1: complex, num2: complex, zinv: complex) -> complex:
@@ -299,10 +300,11 @@ def _asymptotic_sum(num1: complex, num2: complex, zinv: complex) -> complex:
 
 class _KummerPlan:
     """z -> Phi(a, b; z) at fixed (a, b): kummer_m's branches, with the
-    checks on a and b made once and the Gamma factors of the asymptotic
-    branch computed on its first use."""
+    checks on a and b made once, the power series' term table grown as the
+    points need it, and the Gamma factors of the asymptotic branch computed
+    on its first use."""
 
-    __slots__ = ("a", "b", "degree", "_flipped", "_gammas")
+    __slots__ = ("a", "b", "degree", "terms", "_flipped", "_gammas", "_laguerre")
 
     def __init__(self, a: complex, b: complex) -> None:
         a, b = complex(a), complex(b)
@@ -312,31 +314,72 @@ class _KummerPlan:
         pa = _nonpositive_int(a)
         self.a, self.b = a, b
         self.degree = None if pa is None else -pa  # of the terminating polynomial
+        self.terms: list = []  # (a + k, (b + k)(k + 1)): term k + 1 is term k times num z / den
         self._flipped = None  # plan of Phi(b - a, b; .) for the Kummer transformation
         self._gammas = None  # Gamma(b), 1/Gamma(a), 1/Gamma(b - a)
+        self._laguerre = None  # L_n^(b-1)(0) and the recurrence's coefficients
 
     def plain(self, z: complex) -> bool:
         """True where Phi is summed as its plain power series, so that the
         same sum from the log companion stands in."""
         return z.real >= 0 and abs(z) <= SWITCH_RADIUS and self.degree is None
 
+    def _series(self, z: complex) -> complex:
+        s = term = 1.0 + 0.0j
+        start = _first_stop(abs(z))
+        terms = self.terms
+        for num, den in terms[:start]:  # no sum stops before term start + 1
+            term *= num * z / den
+            s += term
+        for num, den in terms[start:MAX_TERMS]:
+            term *= num * z / den
+            s += term
+            if abs(term) <= REL_TOL * abs(s):
+                return s
+        # past the table: a private copy grows by the terms this point sums
+        a, b = self.a, self.b
+        grown = terms.copy()
+        try:
+            for k in range(len(terms), MAX_TERMS):
+                num, den = a + k, (b + k) * (k + 1)
+                grown.append((num, den))
+                term *= num * z / den
+                s += term
+                if k >= start and abs(term) <= REL_TOL * abs(s):
+                    return s
+        finally:
+            self.terms = grown
+        raise AccuracyError(abs(term) / max(abs(s), 1e-300), REL_TOL)
+
+    def _polynomial(self, z: complex) -> complex:
+        """Phi(-n, b; z) = L_n^(b-1)(z) / L_n^(b-1)(0), n = degree, by the
+        three-term recurrence (DLMF 18.9.1), which does not cancel where
+        the alternating monomial sum does; its z-free coefficients and
+        L_n^(b-1)(0) = (b)_n / n! are built on first use."""
+        if self._laguerre is None:
+            c = self.b - 1.0
+            l0 = 1.0 + 0.0j
+            for k in range(1, self.degree + 1):
+                l0 *= (c + k) / k
+            self._laguerre = (l0, [(2 * k + 1 + c, k + c, k + 1) for k in range(self.degree)])
+        l0, steps = self._laguerre
+        prev, cur = 0.0, 1.0 + 0.0j
+        for p, q, d in steps:  # (k + 1) L_{k+1} = (2k + 1 + c - z) L_k - (k + c) L_{k-1}
+            prev, cur = cur, ((p - z) * cur - q * prev) / d
+        return cur / l0
+
     def __call__(self, z: complex) -> complex:
         a, b = self.a, self.b
         if z == 0:
             return 1.0 + 0.0j
         if self.plain(z):
-            return _kummer_series(a, b, z)
+            return self._series(z)
         if z.real < 0:
             if self._flipped is None:
                 self._flipped = _KummerPlan(b - a, b)
             return cmath.exp(z) * self._flipped(-z)
         if self.degree is not None:
-            s = 1.0 + 0.0j
-            term = 1.0 + 0.0j
-            for k in range(self.degree):
-                term *= (a + k) * z / ((b + k) * (k + 1))
-                s += term
-            return s
+            return self._polynomial(z)
         # DLMF 13.7.2 with both Poincare contributions.
         if self._gammas is None:
             self._gammas = (gamma_fn(b), rgamma(a), rgamma(b - a))
@@ -354,6 +397,7 @@ def kummer_m(a: complex, b: complex, z: complex) -> complex:
 
     For Re z < 0 the Kummer transformation Phi(a,b;z) = e^z Phi(b-a,b;-z)
     is applied first, so the series is always summed on the stable side.
+    At a = -n the polynomial is summed as a Laguerre polynomial.
     """
     return _KummerPlan(a, b)(complex(z))
 
@@ -404,7 +448,7 @@ class _CompanionPlan:
     caller passes the logarithm appropriate to its variable, so the sum stops
     relative to the combination the caller keeps."""
 
-    __slots__ = ("a", "n", "sigma_a", "frobenius", "bracket0", "zero", "brackets")
+    __slots__ = ("a", "n", "sigma_a", "frobenius", "bracket0", "zero", "terms")
 
     def __init__(self, a: complex, n: int) -> None:
         if n < 0:
@@ -424,7 +468,8 @@ class _CompanionPlan:
             - (math.fsum(1.0 / l for l in range(1, n + 1)) - EULER_GAMMA)
         )
         self.zero = _pochhammer_zero(a)
-        self.brackets: list = []  # the bracket of term k + 1
+        # (a + k, (n + 1 + k)(k + 1), bracket of term k + 1), at most `zero` of them
+        self.terms: list = []
 
     def __call__(self, z: complex, log: complex) -> tuple[complex, complex, complex]:
         a, n, zero = self.a, self.n, self.zero
@@ -434,34 +479,47 @@ class _CompanionPlan:
         # decision, which also holds S1 to kummer_m's own rule
         c = 1.0 + 0.0j
         s1, s_log = c, c * (log + self.bracket0)
-        az = abs(z)
-        brk = self.brackets
-        known = len(brk)
-        t = brk[-1] if known else self.bracket0
-        for k in range(zero):
-            if k >= known:
-                if k == known:
-                    brk = brk.copy()
-                t = t + 1.0 / (a + k) - 1.0 / (k + 1) - 1.0 / (n + k + 1)
-                brk.append(t)
-            c *= (a + k) * z / ((n + 1 + k) * (k + 1))
+        start = _first_stop(abs(z))
+        terms = self.terms
+        for num, den, bracket in terms[:start]:  # no sum stops before term start + 1
+            c *= num * z / den
             s1 += c
-            bracket = log + brk[k]
+            s_log += c * (log + bracket)
+        for num, den, bracket in terms[start:]:
+            c *= num * z / den
+            s1 += c
+            bracket = log + bracket
             s_log += c * bracket
             if (
-                k > az
-                and abs(c) <= tol * abs(s1)
+                abs(c) <= tol * abs(s1)
                 and abs(c) * (1.0 + abs(bracket)) <= tol * max(abs(s1), abs(s_log))
             ):
-                break
-        else:
-            if zero == MAX_TERMS:
-                raise AccuracyError(abs(c) / max(abs(s1), 1e-300), tol)
-            # S1 has terminated; the bracket's 1/(a + zero) takes the place of the zero
-            r = c * z / ((n + 1 + zero) * (zero + 1))
-            s_log = _pole_tail(s_log, r, a, n + 1, z, zero + 1, abs(s1))
-        if len(brk) > len(self.brackets):
-            self.brackets = brk
+                return s1, s_log, p
+        # past the table: a private copy grows by the terms this point sums
+        grown = terms.copy()
+        t = terms[-1][2] if terms else self.bracket0
+        try:
+            for k in range(len(terms), zero):
+                num, den = a + k, (n + 1 + k) * (k + 1)
+                t = t + 1.0 / num - 1.0 / (k + 1) - 1.0 / (n + k + 1)
+                grown.append((num, den, t))
+                c *= num * z / den
+                s1 += c
+                bracket = log + t
+                s_log += c * bracket
+                if (
+                    k >= start
+                    and abs(c) <= tol * abs(s1)
+                    and abs(c) * (1.0 + abs(bracket)) <= tol * max(abs(s1), abs(s_log))
+                ):
+                    return s1, s_log, p
+        finally:
+            self.terms = grown
+        if zero == MAX_TERMS:
+            raise AccuracyError(abs(c) / max(abs(s1), 1e-300), tol)
+        # S1 has terminated; the bracket's 1/(a + zero) takes the place of the zero
+        r = c * z / ((n + 1 + zero) * (zero + 1))
+        s_log = _pole_tail(s_log, r, a, n + 1, z, zero + 1, abs(s1))
         return s1, s_log, p
 
 

@@ -224,6 +224,17 @@ def test_duality_spectra_passes():
     assert passed == "1"
 
 
+def test_duality_spectra_snaps_m0_zeta_to_half_pi():
+    # 1.5707963 is within ExtensionParam.is_half_pi's 1e-7 of pi/2, as at every entry point
+    argv = ["duality", "--checks", "spectra", "--m", "0", "--zeta", "1.5707963", "--levels", "3"]
+    code, out = _run(argv)
+    assert code == 0
+    _, rows = _csv_rows(out)
+    assert rows[0][0] == "spectra" and rows[0][3] == "1"
+    code, _ = _run(argv[:-3] + ["1.5707", "--levels", "3"])
+    assert code == 2
+
+
 def test_duality_solutions_and_coefficients():
     for checks, m in (("solutions", 0), ("solutions", 2), ("coefficients", 1)):
         argv = ["duality", "--checks", checks, "--m", str(m), "--samples", "40"]

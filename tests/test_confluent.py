@@ -16,7 +16,7 @@ import pytest
 import radialspec
 from radialspec import _confluent, coulomb, oscillator
 from radialspec import specfun as sf
-from radialspec.core import ExtensionParam, ProblemSpec, Theory
+from radialspec.core import ExtensionParam, ProblemSpec, Theory, as_energy
 
 from package_imports import package_import_names, package_imports
 
@@ -25,7 +25,7 @@ def test_import_reader_sees_relative_and_absolute_forms():
     assert {"_confluent", "specfun", "core"} <= package_imports("coulomb")
     assert {"coulomb", "oscillator", "core"} <= package_imports("duality")
     # names from `from .x import a, b`; a whole-module import names nothing
-    assert "coul_eigenfunction" in package_import_names("duality")["coulomb"]
+    assert "coul_level" in package_import_names("duality")["coulomb"]
     assert package_import_names("coulomb")["_confluent"] == set()
 
 
@@ -244,3 +244,33 @@ def test_one_minus_tanh_against_mpmath(x):
     with mp.workdps(40):
         ref = 2 / (1 + mp.exp(2 * mp.mpf(x)))
         assert abs(_confluent.one_minus_tanh(x) - ref) <= 4 * sys.float_info.epsilon * ref + 5e-324
+
+
+GREEN_ROW_SPECS = [
+    (Theory.COULOMB, 3, -1.0, None), (Theory.COULOMB, 1, 0.6, -0.4),
+    (Theory.COULOMB, 0, -1.0, 0.3), (Theory.OSCILLATOR, 1, 1.0, None),
+    (Theory.OSCILLATOR, 2, 0.0, None), (Theory.OSCILLATOR, 0, 1.0, 0.3),
+]
+
+
+@pytest.mark.parametrize("theory, m, coupling, zeta", GREEN_ROW_SPECS)
+def test_a_kept_green_row_returns_what_a_fresh_row_returns(theory, m, coupling, zeta):
+    spec = ProblemSpec(theory, m, coupling, 1.0, None if zeta is None else ExtensionParam(zeta))
+    if theory is Theory.OSCILLATOR:
+        green, build = radialspec.osc_green, oscillator._osc_green_row
+    else:
+        green, build = radialspec.coul_green, coulomb._coul_green_row
+    energy, v = 0.8 + 0.3j, 1.5
+    radii = [0.1 + 0.2 * i for i in range(40)]
+    random.Random(3).shuffle(radii)
+    _confluent.green_row.cache_clear()
+    kept = [repr(green(spec, u, v, energy)) for u in radii]
+    assert _confluent.green_row.cache_info()[:2] == (len(radii) - 1, 1)  # hits, misses
+    fresh = [repr(build(spec, as_energy(energy))(max(u, v), min(u, v)))
+             for u in radii]
+    assert kept == fresh
+    # another energy or another spec is another row
+    green(spec, 1.0, v, energy + 0.1)
+    other = ProblemSpec(theory, m, coupling, 1.3, spec.extension)
+    green(other, 1.0, v, energy)
+    assert _confluent.green_row.cache_info()[:2] == (len(radii) - 1, 3)

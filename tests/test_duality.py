@@ -4,7 +4,7 @@ import pytest
 
 from radialspec import duality
 from radialspec.core import ValidationError
-from radialspec.coulomb import coul_eigenfunction, coul_spectrum
+from radialspec.coulomb import coul_level, coul_spectrum
 from radialspec.duality import (
     DualityMap,
     coulomb_to_oscillator,
@@ -118,11 +118,11 @@ def test_spectrum_correspondence_unique_and_family(monkeypatch):
     used = []
 
     def recorded(spec, n):
-        wave = coul_eigenfunction(spec, n)
-        used.append((spec, n, wave.energy))
-        return wave
+        atom = coul_level(spec, n)
+        used.append((spec, n, atom[0]))
+        return atom
 
-    monkeypatch.setattr(duality, "coul_eigenfunction", recorded)
+    monkeypatch.setattr(duality, "coul_level", recorded)
     for m in (0, 1, 2, 3):
         zeta = math.pi / 2 if m == 0 else None
         out = verify_spectrum_correspondence(m, 2.0, 30, zeta=zeta)

@@ -250,6 +250,30 @@ def test_kummer_terminating_polynomial():
     assert abs(kummer_m(-2.0, b, z) - direct) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "a, b, z",
+    [(-30, 2, 49), (-60, 2, 100), (-30, 2, 16), (-15, 2, 49), (-30, 2, 49 + 3j),
+     (-40, 3, 60j), (-12, 1.5 + 0.5j, 20 - 4j), (-7, 4, 0.3)],
+)
+def test_kummer_terminating_against_mpmath(a, b, z):
+    # the alternating monomial sum was 5.2e-3 off at (-30, 2, 49), 3.3e11 at (-60, 2, 100)
+    with mp.workdps(40):
+        ref = complex(mp.hyp1f1(a, b, z))
+    assert abs(kummer_m(a, b, z) - ref) <= 1e-14 * abs(ref)
+
+
+def test_high_oscillator_level_against_mpmath():
+    # level 60 of m = 1, lambda = 1: E = 244, O1 = u^(3/2) e^(-u^2/2) Phi(-60, 2; u^2)
+    wave = osc_eigenfunction(ProblemSpec(Theory.OSCILLATOR, 1, 1.0), 60)
+    assert wave.energy == 244.0
+    for u, value in ((5.005, 0.176), (10.0, -0.167)):
+        with mp.workdps(40):
+            x = mp.mpf(u)
+            ref = float(wave.norm_constant * x**1.5 * mp.exp(-x * x / 2) * mp.hyp1f1(-60, 2, x * x))
+        assert ref == pytest.approx(value, abs=1e-3)
+        assert abs(wave(u) - ref) <= 1e-14 * abs(ref)
+
+
 def test_kummer_series_asymptotic_overlap(rng, monkeypatch):
     # Both evaluation strategies agree in the overlap annulus up to two
     # unavoidable error sources: the optimal-truncation remainder of the
@@ -514,22 +538,24 @@ def test_log_companion_plan_matches_one_shot(a, n, max_terms, monkeypatch):
         )
     if max_terms > 12 and a != -3.0:
         # the table grew past the first point's needs for the later points
-        assert len(plan.brackets) > 20
+        assert len(plan.terms) > 20
 
 
 @pytest.mark.parametrize(
     # n = 0 is the companion that sums the m = 0 pair's parameter derivative
-    "plan", [sf._CompanionPlan(0.3 + 0.2j, 1), sf._CompanionPlan(0.3 + 0.2j, 0)],
-    ids=["companion", "derivative"],
+    "plan, args",
+    [(sf._CompanionPlan(0.3 + 0.2j, 1), (0.0,)), (sf._CompanionPlan(0.3 + 0.2j, 0), (0.0,)),
+     (sf._KummerPlan(0.3 + 0.2j, 2.0), ())],
+    ids=["companion", "derivative", "kummer"],
 )
-def test_a_grown_table_is_published_by_rebinding(plan):
+def test_a_grown_table_is_published_by_rebinding(plan, args):
     # a sum still reading the old table must not see it change under it
-    plan(0.5 + 0.3j, 0.0)
-    old = plan.brackets
+    plan(0.5 + 0.3j, *args)
+    old = plan.terms
     size = len(old)
-    plan(14.0 + 9.0j, 0.0)
-    assert len(old) == size < len(plan.brackets)
-    assert plan.brackets[:size] == old
+    plan(14.0 + 9.0j, *args)
+    assert len(old) == size < len(plan.terms)
+    assert plan.terms[:size] == old
 
 
 @BOTH_MAX_TERMS
