@@ -1,17 +1,22 @@
 """Batch command-line front end.
 
-Subcommands: spectrum, density, wavefunction, duality, verify.
-Emits CSV or JSON with a versioned schema; every output embeds the full
-problem specification. Exit codes: 0 ok, 2 usage/regime error,
-3 verification failure.
+Subcommands: spectrum, density, wavefunction, duality, verify. Each builds
+its payload and ends in one writer, `_write`, so every output has the same
+versioned envelope in either --format:
+- JSON: {"schema_version", "spec", ...payload} at indent 2;
+- CSV: "# radialspec <command> schema=<version>", the spec as
+  "# theory=... m=... coupling=... kappa0=... zeta=...", the payload's own
+  "# key=value" lines, a header and the rows.
+duality checks no single problem, so its output carries no spec. It draws
+--samples random points and refuses fewer than one (exit 2); a coefficient
+check whose every sample was excluded compared nothing and fails.
+Exit codes: 0 ok, 2 usage/regime error, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import random
 import sys
 
@@ -43,9 +48,16 @@ _CLOSED_FORMS = {
     Theory.COULOMB: (coul_spectrum, _coul_continuum, coul_eigenfunction),
 }
 
+# duality's default --tol per check, in the order its --checks choices print
+_DUALITY_TOL = {"solutions": 1e-8, "coefficients": 1e-8, "spectra": 1e-12}
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+
+def _fmt(x) -> str:
+    """One CSV cell or comment value: text as is, None empty, a number to 17
+    significant digits (a bool as 0 or 1)."""
+    if x is None:
+        return ""
+    return x if isinstance(x, str) else "%.17g" % x
 
 
 def _build_spec(args) -> ProblemSpec:
@@ -63,18 +75,32 @@ def _spec_dict(spec: ProblemSpec) -> dict:
     }
 
 
-def _spec_comment(spec: ProblemSpec) -> str:
-    d = _spec_dict(spec)
-    zeta = "" if d["zeta"] is None else _fmt(d["zeta"])
-    return (
-        f"# theory={d['theory']} m={d['m']} coupling={_fmt(d['coupling'])} "
-        f"kappa0={_fmt(d['kappa0'])} zeta={zeta}"
-    )
+def _write(args, out, spec, doc, comments, header, rows) -> int:
+    """Write a subcommand's payload in the one versioned envelope of --format.
+
+    JSON is {"schema_version", "spec", **doc}. CSV is the schema line, the
+    spec and each dict of `comments` as a "# key=value ..." line, `header`
+    and `rows`. Without a spec both spec parts are left out. Returns the
+    exit code: 3 if doc holds a failed "pass", else 0.
+    """
+    envelope = {"schema_version": SCHEMA_VERSION}
+    if spec is not None:
+        envelope["spec"] = _spec_dict(spec)
+        comments = [envelope["spec"], *comments]
+    if args.format == "json":
+        out.write(json.dumps({**envelope, **doc}, indent=2) + "\n")
+    else:
+        lines = [f"# radialspec {args.command} schema={SCHEMA_VERSION}"]
+        for note in comments:
+            lines.append("# " + " ".join(f"{k}={_fmt(v)}" for k, v in note.items()))
+        lines += [header] + [",".join(map(_fmt, row)) for row in rows]
+        out.write("".join(line + "\n" for line in lines))
+    return 0 if doc.get("pass", True) else 3
 
 
-def _emit(out, lines) -> None:
-    for line in lines:
-        out.write(line + "\n")
+def _grid(lo: float, hi: float, samples: int) -> list[float]:
+    step = (hi - lo) / (samples - 1)
+    return [lo + k * step for k in range(samples)]
 
 
 def _get_spectrum(spec: ProblemSpec, levels: int):
@@ -84,28 +110,13 @@ def _get_spectrum(spec: ProblemSpec, levels: int):
 def _cmd_spectrum(args, out) -> int:
     spec = _build_spec(args)
     measure = _get_spectrum(spec, args.levels)
-    atoms = measure.discrete[: args.levels]
-    if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "spec": _spec_dict(spec),
-            "discrete": [
-                {"n": n, "E": e, "weight": w} for n, (e, w) in enumerate(atoms)
-            ],
-            "continuous": {"support": measure.support, "samples": []},
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
-        return 0
-    lines = [
-        f"# radialspec spectrum schema={SCHEMA_VERSION}",
-        _spec_comment(spec),
-        f"# support={measure.support}",
-        "n,E,weight",
-    ]
-    for n, (e, w) in enumerate(atoms):
-        lines.append(f"{n},{_fmt(e)},{_fmt(w)}")
-    _emit(out, lines)
-    return 0
+    rows = [(n, e, w) for n, (e, w) in enumerate(measure.discrete[: args.levels])]
+    doc = {
+        "discrete": [{"n": n, "E": e, "weight": w} for n, e, w in rows],
+        "continuous": {"support": measure.support, "samples": []},
+    }
+    note = {"support": measure.support}
+    return _write(args, out, spec, doc, [note], "n,E,weight", rows)
 
 
 def _cmd_density(args, out) -> int:
@@ -114,30 +125,11 @@ def _cmd_density(args, out) -> int:
     measure = SpectralMeasure((), *_CLOSED_FORMS[spec.theory][1](spec, classify(spec)))
     if args.samples < 2 or args.emax <= args.emin:
         raise ValidationError("need emin < emax and samples >= 2")
-    step = (args.emax - args.emin) / (args.samples - 1)
-    grid = [args.emin + k * step for k in range(args.samples)]
+    grid = _grid(args.emin, args.emax, args.samples)
     rows = [(e, measure.density_at(e)) for e in grid]
-    if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "spec": _spec_dict(spec),
-            "discrete": [],
-            "continuous": {
-                "support": measure.support,
-                "samples": [[e, d] for e, d in rows],
-            },
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
-        return 0
-    lines = [
-        f"# radialspec density schema={SCHEMA_VERSION}",
-        _spec_comment(spec),
-        f"# support={measure.support}",
-        "E,density",
-    ]
-    lines += [f"{_fmt(e)},{_fmt(d)}" for e, d in rows]
-    _emit(out, lines)
-    return 0
+    doc = {"discrete": [], "continuous": {"support": measure.support, "samples": rows}}
+    note = {"support": measure.support}
+    return _write(args, out, spec, doc, [note], "E,density", rows)
 
 
 def _cmd_wavefunction(args, out) -> int:
@@ -148,35 +140,23 @@ def _cmd_wavefunction(args, out) -> int:
     wave = _CLOSED_FORMS[spec.theory][2](spec, which)
     if args.samples < 2 or not (0 < args.umin < args.umax):
         raise ValidationError("need 0 < umin < umax and samples >= 2")
-    step = (args.umax - args.umin) / (args.samples - 1)
-    grid = [args.umin + k * step for k in range(args.samples)]
-    rows = [(u, float(wave(u))) for u in grid]
-    if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "spec": _spec_dict(spec),
-            "wavefunction": {
-                "energy": wave.energy,
-                "norm_constant": wave.norm_constant,
-                "asymptotic_class": wave.asymptotic_class,
-                "samples": [[u, v] for u, v in rows],
-            },
+    rows = [(u, float(wave(u))) for u in _grid(args.umin, args.umax, args.samples)]
+    doc = {
+        "wavefunction": {
+            "energy": wave.energy,
+            "norm_constant": wave.norm_constant,
+            "asymptotic_class": wave.asymptotic_class,
+            "samples": rows,
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
-        return 0
-    lines = [
-        f"# radialspec wavefunction schema={SCHEMA_VERSION}",
-        _spec_comment(spec),
-        f"# energy={_fmt(wave.energy)} norm={_fmt(wave.norm_constant)}",
-        "u,value",
-    ]
-    lines += [f"{_fmt(u)},{_fmt(v)}" for u, v in rows]
-    _emit(out, lines)
-    return 0
+    }
+    note = {"energy": wave.energy, "norm": wave.norm_constant}
+    return _write(args, out, spec, doc, [note], "u,value", rows)
 
 
 def _duality_samples(n: int, seed: int = 20240811):
     """Deterministic admissible (x, E, g) triples spanning both half-planes."""
+    if n < 1:
+        raise ValidationError("need samples >= 1")
     rng = random.Random(seed)
     out = []
     for _ in range(n):
@@ -194,56 +174,39 @@ def _duality_samples(n: int, seed: int = 20240811):
 
 
 def _cmd_duality(args, out) -> int:
-    report: dict
-    tol = args.tol
+    tol = _DUALITY_TOL[args.checks] if args.tol is None else args.tol
     if args.checks == "spectra":
-        if tol is None:
-            tol = 1e-12
         report = verify_spectrum_correspondence(
             args.m, args.coupling, args.levels, args.kappa0, zeta=args.zeta
         )
         worst = report["max_abs_dev"]
     elif args.checks == "solutions":
-        if tol is None:
-            tol = 1e-8
         samples = _duality_samples(args.samples)
         kinds = (1, 2, 3) if args.m == 0 else (1, 3, 4)
-        per_kind = {}
-        for k in kinds:
-            per_kind[str(k)] = verify_solution_identity(
-                k, args.m, samples, args.kappa0
-            )
+        per_kind = {
+            str(k): verify_solution_identity(k, args.m, samples, args.kappa0)
+            for k in kinds
+        }
         worst = max(per_kind.values())
         report = {"m": args.m, "max_rel": per_kind, "samples": args.samples}
     else:
-        if tol is None:
-            tol = 1e-8
         pairs = [(e, g) for (_, e, g) in _duality_samples(args.samples)]
         report = verify_coefficient_identities(
             args.m, pairs, args.kappa0, zeta=args.zeta
         )
         worst = max(report["max_rel"].values())
-    passed = bool(worst <= tol) and report.get("pass", True)
+    # a check whose every sample was excluded compared nothing
+    compared = report.get("samples", 1) > 0
+    passed = bool(worst <= tol) and report.get("pass", True) and compared
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "checks": args.checks,
         "report": report,
         "max_error": worst,
         "tol": tol,
         "pass": passed,
     }
-    if args.format == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        _emit(
-            out,
-            [
-                f"# radialspec duality schema={SCHEMA_VERSION}",
-                "checks,max_error,tol,pass",
-                f"{args.checks},{_fmt(worst)},{_fmt(tol)},{int(passed)}",
-            ],
-        )
-    return 0 if passed else 3
+    row = (args.checks, worst, tol, passed)
+    return _write(args, out, None, doc, [], "checks,max_error,tol,pass", [row])
 
 
 def _cmd_verify(args, out) -> int:
@@ -257,35 +220,17 @@ def _cmd_verify(args, out) -> int:
     grid = GridSpec(args.umin, umax, args.points)
     oracle_vals = fd_eigenvalues(spec, grid, min(args.levels, len(closed.discrete)))
     report = compare_spectra(closed, oracle_vals, args.tol)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": _spec_dict(spec),
-        "report": report,
-        "pass": report["pass"],
-    }
-    if args.format == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = [
-            f"# radialspec verify schema={SCHEMA_VERSION}",
-            _spec_comment(spec),
-            "n,closed,oracle,rel_dev,pass",
-        ]
-        for row in report["levels"]:
-            lines.append(
-                f"{row['n']},{_fmt(row['closed'])},{_fmt(row['oracle'])},"
-                f"{_fmt(row['rel_dev'])},{int(row['pass'])}"
-            )
-        _emit(out, lines)
-    return 0 if report["pass"] else 3
+    header = "n,closed,oracle,rel_dev,pass"
+    rows = [[level[k] for k in header.split(",")] for level in report["levels"]]
+    doc = {"report": report, "pass": report["pass"]}
+    return _write(args, out, spec, doc, [], header, rows)
 
 
-def _add_spec_flags(p, need_zeta=True):
+def _add_spec_flags(p):
     p.add_argument("--theory", required=True, choices=("osc", "coul"))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--coupling", type=float, required=True)
-    if need_zeta:
-        p.add_argument("--zeta", type=float, default=None, help="radians")
+    p.add_argument("--zeta", type=float, default=None, help="radians")
     p.add_argument("--kappa0", type=float, default=1.0)
 
 
@@ -300,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="discrete levels and continuous support")
     _add_spec_flags(p)
     p.add_argument("--levels", type=int, default=10)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("density", help="continuous spectral density samples")
@@ -308,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emin", type=float, required=True)
     p.add_argument("--emax", type=float, required=True)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("wavefunction", help="normalized eigenfunction samples")
@@ -318,13 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--umin", type=float, default=0.01)
     p.add_argument("--umax", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_wavefunction)
 
     p = sub.add_parser("duality", help="oscillator <-> Coulomb identity checks")
-    p.add_argument(
-        "--checks", required=True, choices=("solutions", "coefficients", "spectra")
-    )
+    p.add_argument("--checks", required=True, choices=tuple(_DUALITY_TOL))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--coupling", type=float, default=1.0, help="lambda for spectra")
     p.add_argument("--zeta", type=float, default=None)
@@ -332,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--levels", type=int, default=20)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_duality)
 
     p = sub.add_parser("verify", help="compare closed-form spectrum to the oracle")
@@ -348,9 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
         "for osc and 225 kappa0 for coul, the same box u <= 15 under x = kappa0 u^2",
     )
     p.add_argument("--points", type=int, default=4000)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return ap
 
 

@@ -380,13 +380,15 @@ class _KummerPlan:
             return cmath.exp(z) * self._flipped(-z)
         if self.degree is not None:
             return self._polynomial(z)
-        # DLMF 13.7.2 with both Poincare contributions.
+        # DLMF 13.7.2 with both Poincare contributions. Its upper sign holds
+        # for ph z > -pi/2 + delta, the lower for ph z < pi/2 - delta; both hold
+        # on the real axis, so the sign follows the half-plane of z.
         if self._gammas is None:
             self._gammas = (gamma_fn(b), rgamma(a), rgamma(b - a))
         gamma_b, rgamma_a, rgamma_ba = self._gammas
         s1 = _asymptotic_sum(b - a, 1 - a, 1.0 / z)
         s2 = _asymptotic_sum(a, a - b + 1, -1.0 / z)
-        sign = 1.0 if cmath.phase(z) > -math.pi / 2 else -1.0
+        sign = 1.0 if z.imag >= 0 else -1.0
         t1 = cmath.exp(z + (a - b) * cmath.log(z)) * rgamma_a * s1
         t2 = cmath.exp(sign * 1j * math.pi * a - a * cmath.log(z)) * rgamma_ba * s2
         return gamma_b * (t1 + t2)

@@ -174,37 +174,6 @@ def test_density_invalid_range(capsys):
 # ---------------------------------------------------------------- wavefunction
 
 
-def test_wavefunction_csv_and_json():
-    argv = [
-        "wavefunction",
-        "--theory",
-        "osc",
-        "--m",
-        "1",
-        "--coupling",
-        "1",
-        "--level",
-        "0",
-        "--umin",
-        "0.1",
-        "--umax",
-        "5",
-        "--samples",
-        "10",
-    ]
-    code, out = _run(argv)
-    assert code == 0
-    header, rows = _csv_rows(out)
-    assert header == ["u", "value"]
-    assert len(rows) == 10
-    assert all(math.isfinite(float(v)) for _, v in rows)
-    code, out = _run(argv + ["--format", "json"])
-    doc = json.loads(out)
-    wf = doc["wavefunction"]
-    assert abs(wf["energy"] - 4.0) < 1e-12
-    assert len(wf["samples"]) == 10
-
-
 def test_wavefunction_needs_exactly_one_selector(capsys):
     base = ["wavefunction", "--theory", "osc", "--m", "1", "--coupling", "1"]
     assert main(base) == 2
@@ -263,6 +232,25 @@ def test_duality_breach_exits_3():
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "checks, samples", [("solutions", "0"), ("solutions", "-3"), ("coefficients", "0")]
+)
+def test_duality_needs_a_sample(checks, samples, capsys):
+    # with no sample drawn the check would compare nothing and pass
+    assert main(["duality", "--checks", checks, "--m", "1", "--samples", samples]) == 2
+    assert capsys.readouterr().err == "error: need samples >= 1\n"
+
+
+def test_duality_fails_when_every_sample_is_excluded():
+    # at kappa0 = 1e-300 the dual coupling lambda underflows to 0, where the
+    # oscillator coefficients are undefined, so the one sample is excluded
+    argv = ["duality", "--checks", "coefficients", "--m", "1", "--kappa0", "1e-300"]
+    code, out = _run(argv + ["--samples", "1", "--format", "json"])
+    doc = json.loads(out)
+    assert doc["report"]["samples"] == 0 and doc["report"]["excluded"] == [0]
+    assert code == 3 and doc["pass"] is False
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -318,6 +306,77 @@ def test_verify_non_finite_box_exits_2(capsys):
     argv = ["verify", "--theory", "osc", "--m", "1", "--coupling", "1", "--umax", "inf"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: need 0 < u_min < u_max, both finite")
+
+
+# ---------------------------------------------------------------- envelope
+
+
+def _csv_envelope(text):
+    """(schema version, spec comment or None, header, rows) of a CSV output."""
+    lines = text.splitlines()
+    assert lines[0].startswith("# radialspec ")
+    spec = None
+    if lines[1].startswith("# theory="):
+        s = dict(kv.split("=", 1) for kv in lines[1][2:].split(" "))
+        zeta = None if s["zeta"] == "" else float(s["zeta"])
+        spec = {"theory": s["theory"], "m": int(s["m"]), "coupling": float(s["coupling"]),
+                "kappa0": float(s["kappa0"]), "zeta": zeta}
+    return (lines[0].rsplit(" schema=", 1)[1], spec, *_csv_rows(text))
+
+
+_OSC = ["--theory", "osc", "--m", "1", "--coupling", "1"]
+# per subcommand: argv, the CSV header, and the JSON payload's rows
+_ENVELOPES = {
+    "spectrum": (
+        ["spectrum", *_OSC, "--levels", "3"], "n,E,weight",
+        lambda d: [[r["n"], r["E"], r["weight"]] for r in d["discrete"]],
+    ),
+    "density": (
+        ["density", "--theory", "coul", "--m", "1", "--coupling", "0.8", "--zeta", "-1.2",
+         "--emin", "0.1", "--emax", "2", "--samples", "7"], "E,density",
+        lambda d: d["continuous"]["samples"],
+    ),
+    "wavefunction": (
+        ["wavefunction", *_OSC, "--level", "0", "--umin", "0.1", "--umax", "5",
+         "--samples", "10"], "u,value",
+        lambda d: d["wavefunction"]["samples"],
+    ),
+    "verify": (
+        ["verify", *_OSC, "--points", "1001"], "n,closed,oracle,rel_dev,pass",
+        lambda d: [[r[k] for k in ("n", "closed", "oracle", "rel_dev", "pass")]
+                   for r in d["report"]["levels"]],
+    ),
+    "duality": (
+        ["duality", "--checks", "coefficients", "--m", "0", "--zeta", "0.4", "--samples", "10"],
+        "checks,max_error,tol,pass",
+        lambda d: [[d["checks"], d["max_error"], d["tol"], d["pass"]]],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_ENVELOPES))
+def test_csv_and_json_carry_one_envelope(command):
+    argv, header, json_rows = _ENVELOPES[command]
+    code, text = _run(argv)
+    json_code, out = _run(argv + ["--format", "json"])
+    assert code == json_code == 0
+    doc = json.loads(out)
+    version, spec, csv_header, rows = _csv_envelope(text)
+    assert version == doc["schema_version"] == "1"
+    # duality checks no single problem, so neither format carries a spec
+    assert spec == doc.get("spec") and (spec is None) == (command == "duality")
+    assert csv_header == header.split(",")
+    expected = json_rows(doc)
+    assert len(rows) == len(expected) > 0
+    for row, values in zip(rows, expected):
+        assert len(row) == len(values) == len(csv_header)
+        for cell, value in zip(row, values):
+            if isinstance(value, str):
+                assert cell == value
+            else:  # %.17g round-trips a double; a bool prints as 0 or 1
+                assert float(cell) == value and math.isfinite(value)
+    if command == "wavefunction":
+        assert abs(doc["wavefunction"]["energy"] - 4.0) < 1e-12 and len(rows) == 10
 
 
 # ---------------------------------------------------------------- determinism

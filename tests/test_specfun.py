@@ -274,6 +274,25 @@ def test_high_oscillator_level_against_mpmath():
         assert abs(wave(u) - ref) <= 1e-14 * abs(ref)
 
 
+# (a, b) of the cells that reach ph z just above -pi/2: the Coulomb continuum
+# (b = 2|m| + 1, Re a = |m| + 1/2), the lambda < 0 oscillator (b = |m| + 1,
+# Re a = (|m| + 1)/2) and a complex-energy Green row
+@pytest.mark.parametrize(
+    "a, b",
+    [(0.5 + 0.3j, 1), (1.5 + 0.3j, 3), (1.5 - 1.2j, 3), (2.5 + 1.5j, 5),
+     (1 + 0.8j, 2), (1 - 2j, 2), (0.5 - 0.6j, 1), (0.7 + 0.2j, 2)],
+)
+@pytest.mark.parametrize("r", [31.0, 50.0, 100.0])
+def test_kummer_asymptotic_stokes_sign_below_the_real_axis(a, b, r):
+    # DLMF 13.7.2's upper sign holds only from ph z = -pi/2 + delta upwards,
+    # so below the real axis it is O(1) off, up to 4e5 here
+    for delta in (0.001, 0.03, 0.06, 0.099):
+        z = cmath.rect(r, -math.pi / 2 + delta)
+        with mp.workdps(40):
+            ref = complex(mp.hyp1f1(a, b, z))
+        assert abs(kummer_m(a, b, z) - ref) <= 1e-11 * abs(ref)
+
+
 def test_kummer_series_asymptotic_overlap(rng, monkeypatch):
     # Both evaluation strategies agree in the overlap annulus up to two
     # unavoidable error sources: the optimal-truncation remainder of the
